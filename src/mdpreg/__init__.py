@@ -17,9 +17,9 @@ from .harness import (ConfigError, ExperimentConfig, ResultRow, builtin_presets,
                       config_hash, emit_csv, emit_summary, load_experiment_config,
                       run_experiment)
 from .mdp import DEFAULT_GAMMA, TabularMdp, apply_reward_shift, validate_mdp
-from .planning import (PlanningProblem, EquivalenceReport, greedy_from_q,
-                       policy_evaluation, policy_iteration, q_from_values, q_gaps,
-                       uniform_blend_equivalence)
+from .planning import (PlanningProblem, EquivalenceReport, PolicyIterationError,
+                       greedy_from_q, policy_evaluation, policy_iteration, q_from_values,
+                       q_gaps, uniform_blend_equivalence)
 from .regularizers import (DirichletPrior, RegularizedModel, alpha_sum_from_eps,
                            dirichlet_posterior_mean, discount_blend,
                            eps_from_gammas, eps_from_prior, eps_greedy_blend,

@@ -39,32 +39,28 @@ def policy_loss(true_mdp: TabularMdp, pi_reg: np.ndarray, pi_opt: np.ndarray,
     return LossResult(loss, v_opt, v_reg)
 
 
-def _augment_with_absorbing(t: np.ndarray, exit_mass: np.ndarray) -> np.ndarray:
-    """Grow each matrix by one absorbing state that receives ``exit_mass`` per row."""
-    n_actions, n, _ = t.shape
-    aug = np.zeros((n_actions, n + 1, n + 1))
-    aug[:, :n, :n] = t
-    aug[:, :n, n] = exit_mass
-    aug[:, n, n] = 1.0
-    return aug
-
-
 def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
-    """Mean squared entrywise difference between true and regularized matrices.
+    """Mean squared entrywise difference between true and regularized matrices,
+    one value per cell for a batch.
 
     For the discount method the rows are substochastic; the missing mass is
     an implicit absorbing state entered with probability eps each step.
-    ``mse_absorbing`` therefore also compares the matrices augmented with
-    that state (true rows gain a zero column, regularized rows their exit
-    mass, and the absorbing state self-loops in both). For the other
+    ``mse_absorbing`` therefore compares the matrices augmented with that
+    state: only the exit column differs, so it is the plain squared error
+    plus sum((1 - rowsum)^2), over (N+1)^2 entries per action. For the other
     methods it equals ``mse_plain``.
     """
-    if t_true.shape != reg.t_reg.shape:
-        raise ValueError(f"shape mismatch: true {t_true.shape} vs regularized {reg.t_reg.shape}")
-    mse_plain = float(np.mean((t_true - reg.t_reg) ** 2))
-    if reg.method != "discount":
-        return MseResult(mse_plain, mse_plain)
-    aug_true = _augment_with_absorbing(t_true, np.zeros(t_true.shape[:2]))
-    aug_reg = _augment_with_absorbing(reg.t_reg, 1.0 - reg.t_reg.sum(axis=2))
-    mse_absorbing = float(np.mean((aug_true - aug_reg) ** 2))
+    t_reg = reg.t_reg
+    if t_true.shape != t_reg.shape[-3:]:
+        raise ValueError(f"shape mismatch: true {t_true.shape} vs regularized {t_reg.shape}")
+    n_actions, n, _ = t_true.shape
+    sq = t_true - t_reg
+    sq *= sq
+    total = sq.sum(axis=(-3, -2, -1))
+    exit_sq = ((1.0 - t_reg @ np.ones(n)) ** 2).sum(axis=(-2, -1))
+    mse_plain = total / t_true.size
+    mse_absorbing = np.where(np.asarray(reg.method) == "discount",
+                             (total + exit_sq) / (n_actions * (n + 1) ** 2), mse_plain)
+    if t_reg.ndim == 3:
+        return MseResult(float(mse_plain), float(mse_absorbing))
     return MseResult(mse_plain, mse_absorbing)

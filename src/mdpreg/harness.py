@@ -1,19 +1,21 @@
 """Monte-Carlo experiment engine: sweeps across methods, strengths, and seeds.
 
-One replication draws a dataset, estimates the model, and plans once per
-(method, strength) pair; rows aggregate mean and standard error across
-replications. Replication r always uses child_seed(master_seed, r) and
-aggregation always sums in replication order, so results are bit-identical
-for any worker count.
+One replication draws a dataset, estimates the model, and plans its
+(method, strength) cells in waves (see sweep_waves); rows aggregate mean and
+standard error across replications. Replication r always uses
+child_seed(master_seed, r) and aggregation always sums in replication order,
+so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import groupby, zip_longest
 
 import numpy as np
 
@@ -23,7 +25,8 @@ from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_g
 from .estimation import count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp
-from .planning import PlanningProblem, policy_evaluation, policy_iteration
+from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
+                       policy_iteration)
 from .regularizers import METHODS, regularize
 from .seeding import child_seed
 
@@ -141,6 +144,14 @@ def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     return cells
 
 
+def sweep_waves(cells) -> list[list[int]]:
+    """Cell indices per wave of ``sweep_cells`` output (each method's cells
+    contiguous): wave j holds the j-th cell of every method and is planned as
+    one stack, each cell warm-started from its method's wave j-1 policy."""
+    spans = [list(g) for _, g in groupby(range(len(cells)), key=lambda i: cells[i][0])]
+    return [[i for i in wave if i is not None] for wave in zip_longest(*spans)]
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
     """Stable 12-hex-digit digest of everything that affects the results."""
     doc = {
@@ -181,7 +192,8 @@ def _replication_task(ctx: _ReplicationContext, rep: int
     try:
         return _replication_metrics(ctx, rep)
     except Exception as exc:
-        raise RuntimeError(f"replication {rep} failed: {exc}") from exc
+        raise RuntimeError(f"replication {rep} (child seed"
+                           f" {child_seed(ctx.master_seed, rep)}) failed: {exc}") from exc
 
 
 def _replication_metrics(ctx: _ReplicationContext, rep: int
@@ -192,22 +204,32 @@ def _replication_metrics(ctx: _ReplicationContext, rep: int
     counts = count(dataset, mdp.n_states, mdp.n_actions)
     est = mle_model(counts)
 
-    k = len(ctx.cells)
-    losses = np.empty(k)
-    mse_plain = np.empty(k)
-    mse_abs = np.empty(k)
-    warm: dict[str, np.ndarray] = {}
-    for i, (method, strength) in enumerate(ctx.cells):
-        reg = regularize(est, counts, method, strength, mdp.gamma)
-        policy, _ = policy_iteration(PlanningProblem.from_regularized(reg),
-                                     initial_policy=warm.get(method))
-        warm[method] = policy
-        v_reg = policy_evaluation(ctx.true_problem, policy)
-        losses[i] = float(np.dot(ctx.start_dist, ctx.v_opt - v_reg))
+    latest = {}  # each method's latest policy: its warm start in the next wave
+    policies = np.empty((len(ctx.cells), mdp.n_states), dtype=np.int64)
+    mse_plain, mse_abs = np.empty((2, len(ctx.cells)))
+    for cells in sweep_waves(ctx.cells):
+        methods, strengths = zip(*(ctx.cells[i] for i in cells))
+        reg = regularize(est, counts, methods, strengths, mdp.gamma)
+        # wave 0 holds every method, so each later wave finds all its warm starts
+        warm = np.stack([latest[m] for m in methods]) if latest else None
+        try:
+            policy = policy_iteration(PlanningProblem.from_regularized(reg), initial_policy=warm)[0]
+        except PolicyIterationError as exc:
+            names = ", ".join(f"({methods[i]}, {strengths[i]:g})" for i in exc.problems)
+            raise RuntimeError(f"{exc} at cell(s) {names}") from exc
+        latest.update(zip(methods, policy))
+        policies[cells] = policy
         mse = transition_mse(mdp.transition, reg)
-        mse_plain[i] = mse.mse_plain
-        mse_abs[i] = mse.mse_absorbing
-    return losses, mse_plain, mse_abs
+        mse_plain[cells] = mse.mse_plain
+        mse_abs[cells] = mse.mse_absorbing
+
+    # evaluate each distinct policy once in the true MDP; keying rows by their
+    # bytes is several times faster than np.unique(axis=0) on 53 short rows
+    first = {}  # a policy's bytes -> the first cell that chose it
+    owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(policies)]
+    v_reg = policy_evaluation(ctx.true_problem, policies[list(first.values())])
+    loss = {i: np.dot(ctx.start_dist, ctx.v_opt - v) for i, v in zip(first.values(), v_reg)}
+    return np.array([loss[i] for i in owner]), mse_plain, mse_abs
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
@@ -318,21 +340,60 @@ def emit_summary(rows: list[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def _start_mode_from_json(value) -> StartMode:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A JSON int or float that converts to a finite float."""
+    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
+
+
+def _start_mode_from_json(value) -> StartMode | None:
+    """The start mode a JSON value spells, or None."""
     if value == "uniform":
         return StartMode.uniform()
-    if isinstance(value, dict) and len(value) == 1:
-        key, payload = next(iter(value.items()))
-        if key == "fixed":
-            return StartMode.fixed(int(payload))
-        if key == "set":
-            return StartMode.subset([int(s) for s in payload])
-    raise ConfigError([f"start_mode must be \"uniform\", {{\"fixed\": s}} or"
-                       f" {{\"set\": [...]}}, got {value!r}"])
+    if isinstance(value, dict) and list(value) in (["fixed"], ["set"]):
+        states = value.get("set", [value.get("fixed")])
+        if isinstance(states, list) and states and all(map(_is_int, states)):
+            return StartMode(next(iter(value)), tuple(states))
+    return None
+
+
+_INTEGER = (_is_int, "an integer")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+            "a list of finite numbers")
+# JSON field -> (type check, expected type); collection fields are prefixed
+_FIELD_TYPES = {
+    "mdp": (lambda v: isinstance(v, str), "a string"),
+    "methods": (lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
+                "a list of strings"),
+    "eps_grid": _NUMBERS, "magnitude_grid": _NUMBERS,
+    "replications": _INTEGER, "master_seed": _INTEGER, "workers": _INTEGER,
+    "gamma": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "out": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "collection": (lambda v: isinstance(v, dict), "a JSON object"),
+    "collection.n_trajectories": _INTEGER, "collection.trajectory_length": _INTEGER,
+    "collection.p_optimal": (_is_number, "a finite number"),
+    "collection.start_mode": (lambda v: _start_mode_from_json(v) is not None,
+                              '"uniform", {"fixed": s} or {"set": [s, ...]}'),
+}
+
+
+def _field_problems(doc: dict, where: str, required: tuple[str, ...]) -> list[str]:
+    """Missing, wrongly typed and unknown fields of ``doc``, named ``where + key``."""
+    problems = [f"missing config field: {where}{f}" for f in required if f not in doc]
+    unknown = sorted(where + k for k in doc if where + k not in _FIELD_TYPES)
+    if unknown:
+        problems.append(f"unknown config field(s): {', '.join(unknown)}")
+    return problems + [f"{where}{k} must be {_FIELD_TYPES[where + k][1]}, got {v!r}"
+                       for k, v in doc.items()
+                       if where + k in _FIELD_TYPES and not _FIELD_TYPES[where + k][0](v)]
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config (field names mirror ExperimentConfig)."""
+    """Parse a JSON experiment config (field names mirror ExperimentConfig),
+    reporting all wrongly typed fields together, then all out-of-range values."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -340,42 +401,29 @@ def load_experiment_config(path) -> ExperimentConfig:
             raise ConfigError([f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})"])
     if not isinstance(doc, dict):
         raise ConfigError([f"{path}: top level must be a JSON object"])
-    known = {"mdp", "collection", "methods", "eps_grid", "magnitude_grid",
-             "replications", "master_seed", "gamma", "out", "workers"}
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ConfigError([f"unknown config field(s): {', '.join(unknown)}"])
-    for field in ("mdp", "collection"):
-        if field not in doc:
-            raise ConfigError([f"missing config field: {field}"])
-    coll = doc["collection"]
-    for field in ("n_trajectories", "trajectory_length"):
-        if field not in coll:
-            raise ConfigError([f"missing collection field: {field}"])
+    problems = _field_problems(doc, "", ("mdp", "collection"))
+    coll = doc.get("collection")
+    if isinstance(coll, dict):
+        problems += _field_problems(coll, "collection.", ("n_trajectories", "trajectory_length"))
+    if problems:
+        raise ConfigError(problems)
     try:
         collection = CollectionConfig(
-            n_trajectories=int(coll["n_trajectories"]),
-            trajectory_length=int(coll["trajectory_length"]),
+            n_trajectories=coll["n_trajectories"],
+            trajectory_length=coll["trajectory_length"],
             p_optimal=float(coll.get("p_optimal", 0.0)),
             start_mode=_start_mode_from_json(coll.get("start_mode", "uniform")),
         )
     except ValueError as exc:
         raise ConfigError([str(exc)])
 
-    defaults = ExperimentConfig(mdp="", collection=collection)
-    cfg = ExperimentConfig(
-        mdp=str(doc["mdp"]),
-        collection=collection,
-        methods=tuple(doc.get("methods", defaults.methods)),
-        eps_grid=tuple(float(e) for e in doc.get("eps_grid", defaults.eps_grid)),
-        magnitude_grid=tuple(float(m) for m in
-                             doc.get("magnitude_grid", defaults.magnitude_grid)),
-        replications=int(doc.get("replications", defaults.replications)),
-        master_seed=int(doc.get("master_seed", defaults.master_seed)),
-        gamma=None if doc.get("gamma") is None else float(doc["gamma"]),
-        out=doc.get("out"),
-        workers=int(doc.get("workers", 1)),
-    )
+    fields = dict(doc, collection=collection)  # absent fields take the defaults
+    for name, kind in (("methods", str), ("eps_grid", float), ("magnitude_grid", float)):
+        if name in fields:
+            fields[name] = tuple(map(kind, fields[name]))
+    if fields.get("gamma") is not None:
+        fields["gamma"] = float(fields["gamma"])
+    cfg = ExperimentConfig(**fields)
     problems = validate_experiment_config(cfg)
     if problems:
         raise ConfigError(problems)

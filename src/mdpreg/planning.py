@@ -8,7 +8,7 @@ equivalence properties can be tested at solver precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -18,9 +18,20 @@ from .regularizers import RegularizedModel
 _MAX_SWEEPS = 10_000
 
 
+class PolicyIterationError(RuntimeError):
+    """Policy iteration hit the sweep limit; ``problems`` indexes the stack."""
+
+    def __init__(self, problems: list[int]):
+        super().__init__(f"policy iteration did not converge in {_MAX_SWEEPS} sweeps"
+                         f" (stacked problems {problems})")
+        self.problems = problems
+
+
 @dataclass(frozen=True)
 class PlanningProblem:
-    t: np.ndarray      # (n_actions, n_states, n_states), rows sum to <= 1
+    """One problem, or a stack of problems sharing r and gamma."""
+
+    t: np.ndarray      # ([cells,] n_actions, n_states, n_states), rows sum to <= 1
     r: np.ndarray      # (n_states, n_actions)
     gamma: float
 
@@ -31,16 +42,16 @@ class PlanningProblem:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         if np.any(self.t < -1e-12):
             raise ValueError("transition matrices must be nonnegative")
-        if np.any(self.t.sum(axis=2) > 1.0 + 1e-9):
+        if np.any(self.t @ np.ones(self.n_states) > 1.0 + 1e-9):  # row sums
             raise ValueError("transition rows must sum to at most 1")
 
     @property
     def n_states(self) -> int:
-        return self.t.shape[1]
+        return self.t.shape[-1]
 
     @property
     def n_actions(self) -> int:
-        return self.t.shape[0]
+        return self.t.shape[-3]
 
     @classmethod
     def from_mdp(cls, mdp: TabularMdp) -> "PlanningProblem":
@@ -52,23 +63,29 @@ class PlanningProblem:
 
 
 def policy_evaluation(problem: PlanningProblem, policy: np.ndarray) -> np.ndarray:
-    """Solve V = R_pi + gamma * T_pi V directly."""
+    """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
+    may stack, (..., n_states): over one problem, or one per stacked problem."""
     n = problem.n_states
     idx = np.arange(n)
-    t_pi = problem.t[policy, idx, :]
+    cell = (np.arange(len(problem.t))[:, None],) if problem.t.ndim == 4 else ()
+    t_pi = problem.t[cell + (policy, idx)]
     r_pi = problem.r[idx, policy]
-    return np.linalg.solve(np.eye(n) - problem.gamma * t_pi, r_pi)
+    # I - gamma * T_pi, built in the gathered copy: no second stack-sized array
+    system = np.subtract(np.eye(n), np.multiply(problem.gamma, t_pi, out=t_pi), out=t_pi)
+    return np.linalg.solve(system, r_pi[..., None])[..., 0]
 
 
 def q_from_values(problem: PlanningProblem, v: np.ndarray) -> np.ndarray:
-    """One-step lookahead: Q[s, a] = r[s, a] + gamma * t[a, s, :] @ v."""
-    return problem.r + problem.gamma * (problem.t @ v).T
+    """One-step lookahead: Q[..., s, a] = r[s, a] + gamma * t[..., a, s, :] @ v,
+    a view of memory laid out (..., a, s)."""
+    tv = (problem.t @ v[..., None, :, None])[..., 0]
+    return np.swapaxes(problem.r.T + problem.gamma * tv, -1, -2)
 
 
 def greedy_from_q(q: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
     """Lowest action index within tie_tol of each row's maximum."""
-    cutoff = q.max(axis=1, keepdims=True) - tie_tol
-    return (q >= cutoff).argmax(axis=1)
+    cutoff = q.max(axis=-1, keepdims=True) - tie_tol
+    return (q >= cutoff).argmax(axis=-1)
 
 
 def q_gaps(q: np.ndarray) -> np.ndarray:
@@ -88,23 +105,34 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
     every policy change strictly increases the value and the sweep cannot
     cycle. The returned policy is re-canonicalized through greedy_from_q,
     breaking all ties toward the lowest action index within tie_tol.
-    """
-    n = problem.n_states
-    idx = np.arange(n)
-    if initial_policy is None:
-        policy = np.zeros(n, dtype=np.int64)
-    else:
-        policy = np.asarray(initial_policy, dtype=np.int64).copy()
 
+    A stack returns (cells, n_states) policies and (cells, n_states,
+    n_actions) Q-functions, with ``initial_policy`` shared or one per problem.
+    Each problem takes exactly the sweeps it would alone; a sweep solves the
+    problems not yet converged in one batched solve.
+    """
+    t = problem.t if problem.t.ndim == 4 else problem.t[None]
+    k, n_actions, n = t.shape[:3]
+    policy = np.empty((k, n), dtype=np.int64)
+    policy[...] = 0 if initial_policy is None else initial_policy
+    q_final, active, states = np.empty((k, n_actions, n)), np.arange(k), np.arange(n)
+    sub = problem  # the problems still active
     for _ in range(_MAX_SWEEPS):
-        v = policy_evaluation(problem, policy)
-        q = q_from_values(problem, v)
-        best = q.max(axis=1)
-        improved = np.where(q[idx, policy] >= best, policy, q.argmax(axis=1))
-        if np.array_equal(improved, policy):
-            return greedy_from_q(q, tie_tol), q
-        policy = improved
-    raise RuntimeError(f"policy iteration did not converge in {_MAX_SWEEPS} sweeps")
+        current = policy[active]
+        # (k, a, s): reductions over actions run along contiguous states
+        q = np.swapaxes(q_from_values(sub, policy_evaluation(sub, current)), 1, 2)
+        kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1)
+        policy[active] = np.where(kept, current, q.argmax(axis=1))
+        stable = kept.all(axis=1)  # a state not kept moves to a strictly better action
+        if stable.any():
+            q_final[active[stable]] = q[stable]
+            active = active[~stable]
+            if active.size == 0:
+                q = np.swapaxes(q_final, 1, 2)
+                pi = greedy_from_q(q, tie_tol)
+                return (pi, q) if problem.t.ndim == 4 else (pi[0], q[0])
+            sub = replace(problem, t=t[active])
+    raise PolicyIterationError(active.tolist())
 
 
 @dataclass(frozen=True)

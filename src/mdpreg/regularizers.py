@@ -15,7 +15,7 @@ Each method replaces the MLE matrix for action ``a`` with a blend
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,19 +39,27 @@ class DirichletPrior:
 class RegularizedModel:
     """Blended per-action matrices plus the blend metadata.
 
-    ``eps_per_pair`` reports the realized blend weight for each state-action
-    pair (constant for discount and the stochastic-policy blend, data
-    dependent for the Dirichlet posterior). ``gamma_l`` is the equivalent
-    lowered discount, recorded for the discount method only.
+    ``eps_per_pair`` is the realized blend weight of each state-action pair;
+    ``gamma_l`` the equivalent lowered discount of a single discount cell. A
+    batch of cells (see ``regularize``) has tuples for ``method`` and
+    ``strength`` and a leading cell axis on ``t_reg`` and ``eps_per_pair``.
     """
 
-    t_reg: np.ndarray   # (n_actions, n_states, n_states)
+    t_reg: np.ndarray   # (n_actions, n_states, n_states), or (cells, ...) for a batch
     r_hat: np.ndarray   # (n_states, n_actions)
-    method: str
-    strength: float
+    method: str | tuple[str, ...]
+    strength: float | tuple[float, ...]
     effective_gamma: float
-    eps_per_pair: np.ndarray | None = None
+    eps_per_pair: np.ndarray | None = None  # (n_states, n_actions), or (cells, ...)
     gamma_l: float | None = None
+
+
+def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.ndarray:
+    """The one kernel of every method, ``(1 - eps) * t_mle + eps * t_other``;
+    ``eps`` is a scalar or one weight per row, ``(n_actions, n_states, 1)``."""
+    out = np.multiply(1.0 - eps, t_mle, out=out)
+    out += eps * t_other
+    return out
 
 
 def uniform_prior(magnitude: float, n_states: int, n_actions: int) -> DirichletPrior:
@@ -64,95 +72,83 @@ def uniform_prior(magnitude: float, n_states: int, n_actions: int) -> DirichletP
 
 def dirichlet_posterior_mean(counts: CountsTensor, prior: DirichletPrior,
                              gamma: float) -> RegularizedModel:
-    """Posterior-mean transition rows (c + alpha) / (sum c + sum alpha).
-
-    Pairs with neither counts nor prior mass fall back to a uniform row,
-    matching the MLE default for unvisited pairs.
-    """
-    n, n_actions = counts.n_states, counts.n_actions
+    """Posterior-mean rows (c + alpha) / (sum c + sum alpha): the MLE row blended
+    with the prior-mean row at eps = sum(alpha) / (sum(c) + sum(alpha))."""
     if prior.alpha.shape != counts.c.shape:
         raise ValueError(
             f"prior shape {prior.alpha.shape} does not match counts shape {counts.c.shape}"
         )
     est = mle_model(counts)
-    posterior = counts.c + prior.alpha
-    totals = posterior.sum(axis=2)                       # (n_states, n_actions)
-    safe = np.maximum(totals, 1e-300)
-    rows = np.where((totals > 0)[:, :, None], posterior / safe[:, :, None], 1.0 / n)
-    alpha_sums = prior.alpha.sum(axis=2)
-    eps = np.divide(alpha_sums, safe, out=np.zeros_like(alpha_sums), where=totals > 0)
-    return RegularizedModel(
-        t_reg=np.ascontiguousarray(np.moveaxis(rows, 1, 0)),
-        r_hat=est.r_hat,
-        method="dirichlet",
-        strength=float(alpha_sums.mean()),
-        effective_gamma=gamma,
-        eps_per_pair=eps,
-    )
+    alpha_sums = prior.alpha.sum(axis=2)                  # (n_states, n_actions)
+    prior_mean, eps = _posterior_terms(counts, alpha_sums, prior.alpha)
+    return RegularizedModel(blend(est.t_hat, prior_mean, eps.T[:, :, None]), est.r_hat,
+                            "dirichlet", float(alpha_sums.mean()), gamma, eps)
+
+
+def _posterior_terms(counts: CountsTensor, alpha_sums, alpha: np.ndarray | None = None):
+    """The posterior mean's T_other, the prior-mean rows (n_actions, n_states,
+    n_states) or 1/N for a uniform prior (``alpha`` None), and its per-pair
+    eps = sum(alpha) / (sum(c) + sum(alpha)). Pairs with neither counts nor
+    prior mass get eps = 0, keeping the MLE's uniform row."""
+    totals = counts.visit_count + alpha_sums
+    eps = np.divide(alpha_sums, totals, out=np.zeros(totals.shape), where=totals > 0)
+    if alpha is None:
+        return 1.0 / counts.n_states, eps
+    prior_mean = np.divide(alpha, alpha_sums[:, :, None], where=alpha_sums[:, :, None] > 0,
+                           out=np.full(alpha.shape, 1.0 / counts.n_states))
+    return np.moveaxis(prior_mean, 1, 0), eps
 
 
 def discount_blend(model: EstimatedModel, eps: float, gamma: float) -> RegularizedModel:
     """Blend each matrix with zeros: rows sum to 1 - eps, planned with true gamma."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n, n_actions = model.r_hat.shape
-    return RegularizedModel(
-        t_reg=(1.0 - eps) * model.t_hat,
-        r_hat=model.r_hat,
-        method="discount",
-        strength=eps,
-        effective_gamma=gamma,
-        eps_per_pair=np.full((n, n_actions), eps),
-        gamma_l=(1.0 - eps) * gamma,
-    )
+    return regularize(model, None, "discount", eps, gamma)
 
 
 def eps_greedy_blend(model: EstimatedModel, eps: float, gamma: float) -> RegularizedModel:
     """Blend each matrix with the average over all actions' matrices."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    n, n_actions = model.r_hat.shape
-    mean_t = model.t_hat.mean(axis=0)
-    return RegularizedModel(
-        t_reg=(1.0 - eps) * model.t_hat + eps * mean_t,
-        r_hat=model.r_hat,
-        method="eps_greedy",
-        strength=eps,
-        effective_gamma=gamma,
-        eps_per_pair=np.full((n, n_actions), eps),
-    )
+    return regularize(model, None, "eps_greedy", eps, gamma)
 
 
-def unregularized(model: EstimatedModel, gamma: float) -> RegularizedModel:
-    """Pass the MLE through untouched (the 'none' baseline)."""
-    n, n_actions = model.r_hat.shape
-    return RegularizedModel(
-        t_reg=model.t_hat.copy(),
-        r_hat=model.r_hat,
-        method="none",
-        strength=0.0,
-        effective_gamma=gamma,
-        eps_per_pair=np.zeros((n, n_actions)),
-    )
+def _blend_terms(model: EstimatedModel, counts: CountsTensor | None, method: str,
+                 strength: float):
+    """One cell's T_other, a scalar or (n_states, n_states) shared by every
+    action, and its blend weight, a scalar or per pair (n_states, n_actions)."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "dirichlet" and strength >= 0:
+        return _posterior_terms(counts, strength)  # uniform prior of mass m per pair
+    if method in ("discount", "eps_greedy") and 0.0 <= strength <= 1.0:
+        return (0.0 if method == "discount" else model.t_hat.mean(axis=0)), float(strength)
+    if method == "none" and strength == 0.0:
+        return 0.0, 0.0
+    raise ValueError(f"strength {strength} is out of range for method {method!r}: eps is"
+                     " in [0, 1], a prior magnitude >= 0, and 'none' takes strength 0 only")
 
 
-def regularize(model: EstimatedModel, counts: CountsTensor, method: str,
-               strength: float, gamma: float) -> RegularizedModel:
-    """Dispatch on method name; strength is eps or the prior magnitude."""
-    if method == "dirichlet":
-        prior = uniform_prior(strength, counts.n_states, counts.n_actions)
-        reg = dirichlet_posterior_mean(counts, prior, gamma)
-        # report the swept magnitude rather than the float-summed diagnostic
-        return replace(reg, strength=float(strength))
-    if method == "discount":
-        return discount_blend(model, strength, gamma)
-    if method == "eps_greedy":
-        return eps_greedy_blend(model, strength, gamma)
-    if method == "none":
-        if strength != 0.0:
-            raise ValueError("method 'none' only supports strength 0")
-        return unregularized(model, gamma)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
+               strength, gamma: float) -> RegularizedModel:
+    """Blend one cell; or, given equal-length sequences of methods and
+    strengths, a batch of cells stacked in order. ``strength`` is eps, or the
+    uniform prior magnitude of ``dirichlet``, the one method reading ``counts``.
+    """
+    single = isinstance(method, str)
+    methods = (method,) if single else tuple(method)
+    strengths = (strength,) if single else tuple(float(s) for s in strength)
+    if len(methods) != len(strengths):
+        raise ValueError(f"{len(methods)} methods but {len(strengths)} strengths")
+    # cell by cell into the stack: whole-stack temporaries cost more than the loop
+    t_reg = np.empty((len(methods),) + model.t_hat.shape)
+    eps_per_pair = np.empty((len(methods),) + model.r_hat.shape)
+    for i, (m, s) in enumerate(zip(methods, strengths)):
+        t_other, eps = _blend_terms(model, counts, m, s)
+        eps_per_pair[i] = eps  # a scalar eps keeps numpy's fast scalar loop
+        blend(model.t_hat, t_other, eps if np.ndim(eps) == 0 else eps.T[:, :, None],
+              out=t_reg[i])
+    if not single:
+        return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma, eps_per_pair)
+    gamma_l = (1.0 - strength) * gamma if method == "discount" else None
+    return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma,
+                            eps_per_pair[0], gamma_l)
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

@@ -1,0 +1,201 @@
+"""Property tests for the batched paths: stacked policy iteration, the blend
+kernel behind ``regularize`` and the batched ``transition_mse``; and for the
+config loader on arbitrary JSON."""
+
+import json
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import mdpreg.planning as planning
+from mdpreg import (ConfigError, CountsTensor, PlanningProblem, load_experiment_config,
+                    mle_model, policy_iteration, regularize, transition_mse)
+from mdpreg.planning import PolicyIterationError
+
+SETTINGS = settings(max_examples=60, deadline=None)
+EPS = st.sampled_from([0.0, 0.05, 0.3, 0.5, 0.95, 1.0])
+MAGNITUDE = st.sampled_from([0.0, 1.0, 5.0, 100.0])
+CELL = st.one_of(
+    st.tuples(st.just("dirichlet"), MAGNITUDE),
+    st.tuples(st.sampled_from(["discount", "eps_greedy"]), EPS),
+    st.just(("none", 0.0)),
+)
+
+
+def random_counts(seed: int, n: int, n_actions: int, unvisited: float) -> CountsTensor:
+    """Random counts in which about ``unvisited`` of the pairs have no data."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(0, 5, size=(n, n_actions, n))
+    c[rng.random((n, n_actions)) < unvisited] = 0
+    visits = c.sum(axis=2)
+    reward_sum = rng.choice([-1.0, 0.0, 1.0, 2.5], size=(n, n_actions)) * visits
+    return CountsTensor(c, reward_sum, visits)
+
+
+def count_sweeps(problem, **kwargs):
+    """(policy, Q, sweeps) of one policy_iteration call; a sweep is one
+    batched evaluation, whatever the number of problems still active."""
+    calls = []
+    real = planning.policy_evaluation
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    with mock.patch.object(planning, "policy_evaluation", counting):
+        policy, q = policy_iteration(problem, **kwargs)
+    return policy, q, len(calls)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), n_actions=st.integers(1, 4),
+       k=st.integers(1, 5), gamma=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
+       warm=st.booleans())
+def test_stacked_policy_iteration_equals_per_problem_calls(seed, n, n_actions, k, gamma,
+                                                           warm):
+    rng = np.random.default_rng(seed)
+    t = rng.dirichlet(np.ones(n), size=(k, n_actions, n))
+    t *= rng.choice([1.0, 0.7], size=(k, n_actions, n, 1))  # some substochastic rows
+    r = rng.uniform(-1.0, 1.0, (n, n_actions))
+    init = rng.integers(0, n_actions, (k, n)) if warm else None
+    policy, q = policy_iteration(PlanningProblem(t, r, gamma), initial_policy=init)
+    assert policy.shape == (k, n) and q.shape == (k, n, n_actions)
+    for i in range(k):
+        one = PlanningProblem(t[i], r, gamma)
+        pi_i, q_i = policy_iteration(one, initial_policy=None if init is None else init[i])
+        np.testing.assert_array_equal(policy[i], pi_i)
+        np.testing.assert_allclose(q[i], q_i, rtol=1e-12, atol=1e-12)
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_actions=st.integers(1, 4),
+       gamma=st.sampled_from([0.5, 0.95, 0.99]), warm=st.booleans())
+def test_eps_greedy_at_full_blend_converges_in_two_sweeps(seed, n, n_actions, gamma, warm):
+    # eps = 1 gives every action the same rows, so actions differ only in
+    # reward: one sweep moves each state to its best-reward action, the
+    # second confirms it
+    counts = random_counts(seed, n, n_actions, unvisited=0.3)
+    model = mle_model(counts)
+    reg = regularize(model, counts, ["eps_greedy"] * 3, [1.0] * 3, gamma)
+    init = np.random.default_rng(seed).integers(0, n_actions, (3, n)) if warm else None
+    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg),
+                                     initial_policy=init)
+    assert sweeps <= 2
+    best = (model.r_hat >= model.r_hat.max(axis=1, keepdims=True) - 1e-6).argmax(axis=1)
+    np.testing.assert_array_equal(policy, np.broadcast_to(best, policy.shape))
+
+
+@SETTINGS
+@given(n=st.integers(1, 8), n_actions=st.integers(1, 4),
+       cells=st.lists(CELL, min_size=1, max_size=5), seed=st.integers(0, 2**32 - 1))
+def test_all_unvisited_counts_converge_in_one_sweep(n, n_actions, cells, seed):
+    # no data: every method leaves identical rows and rewards for all actions,
+    # so every Q-value ties exactly and the incumbent policy is kept
+    counts = random_counts(0, n, n_actions, unvisited=1.0)
+    methods, strengths = zip(*cells)
+    reg = regularize(mle_model(counts), counts, methods, strengths, 0.95)
+    init = np.random.default_rng(seed).integers(0, n_actions, (len(cells), n))
+    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg),
+                                     initial_policy=init)
+    assert sweeps == 1
+    np.testing.assert_array_equal(policy, 0)
+
+
+def test_sweep_limit_names_the_unconverged_problems():
+    # action 0 pays 1 and action 1 nothing, so the all-zero policy is optimal:
+    # problem 0 starts there and converges at once, problem 1 needs a second sweep
+    t = np.random.default_rng(3).dirichlet(np.ones(4), size=(2, 2, 4))
+    problem = PlanningProblem(t, np.tile([[1.0, 0.0]], (4, 1)), 0.9)
+    with mock.patch.object(planning, "_MAX_SWEEPS", 1):
+        try:
+            policy_iteration(problem, initial_policy=[[0, 0, 0, 0], [1, 1, 1, 1]])
+        except PolicyIterationError as exc:
+            assert exc.problems == [1]
+            assert "did not converge in 1 sweeps" in str(exc)
+        else:
+            raise AssertionError("expected PolicyIterationError")
+
+
+def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:
+    """The absorbing-state MSE built from explicit (N+1)^2 matrices (the oracle)."""
+    n_actions, n, _ = t_true.shape
+
+    def augment(t, exit_mass):
+        aug = np.zeros((n_actions, n + 1, n + 1))
+        aug[:, :n, :n] = t
+        aug[:, :n, n] = exit_mass
+        aug[:, n, n] = 1.0
+        return aug
+
+    aug_true = augment(t_true, np.zeros((n_actions, n)))
+    aug_reg = augment(t_reg, 1.0 - t_reg.sum(axis=2))
+    return float(np.mean((aug_true - aug_reg) ** 2))
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_actions=st.integers(1, 4),
+       cells=st.lists(CELL, min_size=1, max_size=5))
+def test_batched_transition_mse_matches_augmented_oracle(seed, n, n_actions, cells):
+    counts = random_counts(seed, n, n_actions, unvisited=0.3)
+    t_true = np.random.default_rng(seed).dirichlet(np.ones(n), size=(n_actions, n))
+    methods, strengths = zip(*cells)
+    batch = regularize(mle_model(counts), counts, methods, strengths, 0.95)
+    result = transition_mse(t_true, batch)
+    for i, (method, strength) in enumerate(cells):
+        plain = float(np.mean((t_true - batch.t_reg[i]) ** 2))
+        absorbing = augmented_mse(t_true, batch.t_reg[i]) if method == "discount" else plain
+        np.testing.assert_allclose(result.mse_plain[i], plain, rtol=1e-12, atol=1e-300)
+        np.testing.assert_allclose(result.mse_absorbing[i], absorbing, rtol=1e-12,
+                                   atol=1e-300)
+        one = transition_mse(t_true, regularize(mle_model(counts), counts, method,
+                                                strength, 0.95))
+        assert (one.mse_plain, one.mse_absorbing) == (result.mse_plain[i],
+                                                      result.mse_absorbing[i])
+
+
+@SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 8), n_actions=st.integers(1, 4),
+       cells=st.lists(CELL, min_size=1, max_size=5),
+       unvisited=st.sampled_from([0.0, 0.5, 1.0]))
+def test_blended_rows_sum_to_one_or_to_one_minus_eps(seed, n, n_actions, cells, unvisited):
+    counts = random_counts(seed, n, n_actions, unvisited)
+    model = mle_model(counts)
+    methods, strengths = zip(*cells)
+    batch = regularize(model, counts, methods, strengths, 0.95)
+    assert batch.t_reg.shape == (len(cells), n_actions, n, n)
+    assert np.all(batch.t_reg >= 0.0)
+    for i, (method, strength) in enumerate(cells):
+        expected = 1.0 - strength if method == "discount" else 1.0
+        np.testing.assert_allclose(batch.t_reg[i].sum(axis=2), expected, atol=1e-12)
+        single = regularize(model, counts, method, strength, 0.95)
+        np.testing.assert_array_equal(batch.t_reg[i], single.t_reg)
+        np.testing.assert_array_equal(batch.eps_per_pair[i], single.eps_per_pair)
+
+
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10**20) | st.sampled_from([10**400, -10**400])
+    | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda children: st.lists(children, max_size=3) | st.dictionaries(
+        st.sampled_from(["fixed", "set", "x"]), children, max_size=2),
+    max_leaves=6)
+CONFIG_KEYS = ["mdp", "collection", "methods", "eps_grid", "magnitude_grid", "replications",
+               "master_seed", "gamma", "out", "workers", "bogus"]
+COLLECTION = st.dictionaries(
+    st.sampled_from(["n_trajectories", "trajectory_length", "p_optimal", "start_mode", "x"]),
+    JSON, max_size=4)
+
+
+@SETTINGS
+@given(doc=st.dictionaries(st.sampled_from(CONFIG_KEYS), JSON | COLLECTION, max_size=8))
+def test_config_loader_raises_only_config_errors(doc):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "exp.json"
+        path.write_text(json.dumps(doc))
+        try:
+            load_experiment_config(path)
+        except ConfigError as exc:
+            assert exc.problems and all(isinstance(p, str) for p in exc.problems)

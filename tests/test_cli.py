@@ -88,3 +88,18 @@ def test_check_verb_reports_and_sets_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr("mdpreg.cli.run_acceptance", lambda **kw: fake[:1])
     assert main(["check"]) == 0
+
+
+def test_run_reports_each_ill_typed_field_without_traceback(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "mdp": "grid",
+        "collection": {"n_trajectories": 3, "trajectory_length": 5},
+        "replications": "abc",
+        "eps_grid": ["x"],
+    }))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+    assert "replications must be an integer" in lines[0] + lines[1]
+    assert "eps_grid must be a list of finite numbers" in lines[0] + lines[1]

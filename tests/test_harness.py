@@ -1,12 +1,18 @@
+import json
+
 import numpy as np
 import pytest
 
+import mdpreg.harness as harness
 from mdpreg import (CollectionConfig, ConfigError, ExperimentConfig, StartMode,
                     builtin_presets, config_hash, emit_csv, emit_summary,
                     load_experiment_config, run_experiment, save_mdp_spec,
-                    build_two_goals)
-from mdpreg.harness import (CSV_HEADER, override, resolve_mdp, sweep_cells,
+                    build_two_goals, count, generate_dataset, mle_model,
+                    policy_evaluation, regularize, transition_mse)
+from mdpreg.harness import (CSV_HEADER, override, resolve_mdp, sweep_cells, sweep_waves,
                             validate_experiment_config)
+from mdpreg.planning import PlanningProblem, PolicyIterationError, policy_iteration
+from mdpreg.seeding import child_seed
 
 
 def tiny_config(**overrides):
@@ -107,8 +113,60 @@ class TestFailureHandling:
             return real(*args, **kwargs)
 
         monkeypatch.setattr("mdpreg.harness.generate_dataset", flaky)
-        with pytest.raises(RuntimeError, match="replication 2"):
+        seed = child_seed(777, 2)
+        with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
             run_experiment(tiny_config())
+
+    def test_non_convergence_names_the_cell(self, monkeypatch):
+        def stuck(problem, tie_tol=None, initial_policy=None):
+            if problem.t.ndim == 4:  # a wave; the true-MDP solve is unstacked
+                raise PolicyIterationError([1])
+            return policy_iteration(problem)
+
+        monkeypatch.setattr(harness, "policy_iteration", stuck)
+        # wave 0 of tiny_config is dirichlet, discount, eps_greedy and none at
+        # their first strength; problem 1 of it is the discount cell
+        with pytest.raises(RuntimeError, match=r"replication 0 \(child seed \d+\) failed:"
+                                               r" .* at cell\(s\) \(discount, 0\)"):
+            run_experiment(tiny_config())
+
+
+class TestWaves:
+    def test_wave_j_holds_the_jth_cell_of_every_method(self):
+        cells = sweep_cells(tiny_config(methods=("discount", "none", "dirichlet"),
+                                        eps_grid=(0.0, 0.5, 1.0)))
+        # cells: discount 0..2, none 3, dirichlet 4..5
+        assert sweep_waves(cells) == [[0, 3, 4], [1, 5], [2]]
+
+    def test_waves_match_cell_by_cell_replication(self):
+        # per-cell reference: regularize, plan warm-started from the method's
+        # previous cell, evaluate in the true MDP; the waves give the same bits
+        cfg = tiny_config(methods=("eps_greedy", "none", "dirichlet", "discount"),
+                          collection=CollectionConfig(3, 6, 0.0, StartMode.fixed(0)))
+        mdp = resolve_mdp(cfg)
+        true_problem = PlanningProblem.from_mdp(mdp)
+        pi_opt, _ = policy_iteration(true_problem)
+        v_opt = policy_evaluation(true_problem, pi_opt)
+        cells = tuple(sweep_cells(cfg))
+        ctx = harness._ReplicationContext(
+            mdp=mdp, true_problem=true_problem, pi_opt=pi_opt, v_opt=v_opt,
+            start_dist=cfg.collection.start_mode.distribution(mdp.n_states), cells=cells,
+            collection=cfg.collection, master_seed=cfg.master_seed)
+        for rep in range(3):
+            got = np.stack(harness._replication_metrics(ctx, rep))
+            data = generate_dataset(mdp, pi_opt, cfg.collection, child_seed(cfg.master_seed, rep))
+            counts = count(data, mdp.n_states, mdp.n_actions)
+            est = mle_model(counts)
+            warm = {}
+            for i, (method, strength) in enumerate(cells):
+                reg = regularize(est, counts, method, strength, mdp.gamma)
+                policy, _ = policy_iteration(PlanningProblem.from_regularized(reg),
+                                             initial_policy=warm.get(method))
+                warm[method] = policy
+                v = policy_evaluation(true_problem, policy)
+                mse = transition_mse(mdp.transition, reg)
+                want = (np.dot(ctx.start_dist, v_opt - v), mse.mse_plain, mse.mse_absorbing)
+                assert tuple(got[:, i]) == want, (rep, method, strength)
 
 
 class TestMleBaseline:
@@ -249,6 +307,74 @@ class TestConfigFile:
                         ' "trajectory_length": 5, "start_mode": {"weird": 1}}}')
         with pytest.raises(ConfigError, match="start_mode"):
             load_experiment_config(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("mdp", 5),
+        ("methods", "discount"),
+        ("methods", ["discount", 3]),
+        ("eps_grid", ["x"]),
+        ("eps_grid", 0.5),
+        ("magnitude_grid", [1.0, None]),
+        ("magnitude_grid", [float("nan")]),
+        ("replications", "abc"),
+        ("replications", 2.5),
+        ("master_seed", True),
+        ("gamma", "0.9"),
+        ("gamma", 10 ** 400),  # an int too large for a float
+        ("eps_grid", [0.5, -10 ** 400]),
+        ("out", 7),
+        ("workers", [2]),
+    ])
+    def test_wrong_field_type_is_a_config_error(self, tmp_path, field, value):
+        doc = {"mdp": "grid", "collection": {"n_trajectories": 3, "trajectory_length": 5},
+               field: value}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"{field} must be")
+
+    @pytest.mark.parametrize("field, value", [
+        ("n_trajectories", "3"),
+        ("trajectory_length", None),
+        ("p_optimal", "half"),
+        ("p_optimal", 10 ** 400),
+        ("start_mode", {"fixed": "a"}),
+        ("start_mode", {"set": ["a"]}),
+    ])
+    def test_wrong_collection_field_type_is_a_config_error(self, tmp_path, field, value):
+        coll = {"n_trajectories": 3, "trajectory_length": 5, field: value}
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({"mdp": "grid", "collection": coll}))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert len(err.value.problems) == 1
+        assert err.value.problems[0].startswith(f"collection.{field} must be")
+
+    def test_every_problem_is_reported(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "mdp": "grid", "collection": [], "replications": "abc",
+            "eps_grid": ["x"], "extra": 1}))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        problems = err.value.problems
+        assert len(problems) == 4
+        assert any("extra" in p for p in problems)
+        assert any(p.startswith("collection must be") for p in problems)
+        assert any(p.startswith("replications must be an integer") for p in problems)
+        assert any(p.startswith("eps_grid must be") for p in problems)
+
+    def test_every_range_problem_is_reported(self, tmp_path):
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps({
+            "mdp": "grid", "collection": {"n_trajectories": 3, "trajectory_length": 5},
+            "replications": 0, "workers": 0, "eps_grid": [2.0]}))
+        with pytest.raises(ConfigError) as err:
+            load_experiment_config(path)
+        assert err.value.problems == ["eps value 2.0 outside [0, 1]",
+                                      "replications must be >= 1", "workers must be >= 1"]
 
     def test_override_helper(self):
         cfg = override(tiny_config(), master_seed=1, replications=2, out="o.csv",

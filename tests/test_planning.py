@@ -111,6 +111,29 @@ class TestPolicyIteration:
         np.testing.assert_array_equal(cold, warm)
 
 
+class TestBatchedEvaluation:
+    def test_one_problem_under_many_policies(self):
+        rng = np.random.default_rng(11)
+        problem = PlanningProblem.from_mdp(random_mdp(rng, 5, 3))
+        policies = rng.integers(0, 3, (2, 4, 5))
+        values = policy_evaluation(problem, policies)
+        assert values.shape == (2, 4, 5)
+        for i, j in itertools.product(range(2), range(4)):
+            np.testing.assert_array_equal(values[i, j], policy_evaluation(problem, policies[i, j]))
+
+    def test_stack_under_shared_and_own_policies(self):
+        rng = np.random.default_rng(12)
+        mdps = [random_mdp(rng, 4, 2) for _ in range(3)]
+        stack = PlanningProblem(np.stack([m.transition for m in mdps]), mdps[0].reward_mean, 0.9)
+        own = rng.integers(0, 2, (3, 4))
+        for policy in (own, own[0]):
+            values = policy_evaluation(stack, policy)
+            for i, m in enumerate(mdps):
+                single = PlanningProblem(m.transition, mdps[0].reward_mean, 0.9)
+                np.testing.assert_array_equal(
+                    values[i], policy_evaluation(single, np.broadcast_to(policy, (3, 4))[i]))
+
+
 class TestPlanningProblemValidation:
     def test_gamma_must_be_below_one(self):
         with pytest.raises(ValueError, match="gamma"):

@@ -65,6 +65,20 @@ class TestDirichlet:
             expected = (1 - eps) * t_mle + eps / 5
             assert np.abs(reg.t_reg - expected).max() <= 1e-12
 
+    def test_regularize_is_the_uniform_prior_posterior_mean(self):
+        # regularize takes the prior mass m directly; the posterior mean sums
+        # m / N over N entries, so the two agree to rounding, unvisited pairs too
+        rng = np.random.default_rng(3)
+        c = rng.integers(0, 4, size=(6, 3, 6)) * (rng.random((6, 3, 1)) < 0.6)
+        counts = CountsTensor(c, rng.random((6, 3)), c.sum(axis=2))
+        assert (counts.visit_count == 0).any()
+        model = mle_model(counts)
+        for m in (0.0, 0.5, 1.0, 7.0, 1000.0):
+            got = regularize(model, counts, "dirichlet", m, GAMMA)
+            want = dirichlet_posterior_mean(counts, uniform_prior(m, 6, 3), GAMMA)
+            np.testing.assert_allclose(got.t_reg, want.t_reg, rtol=0, atol=1e-15)
+            np.testing.assert_allclose(got.eps_per_pair, want.eps_per_pair, rtol=0, atol=1e-15)
+
 
 class TestUniformPrior:
     def test_zero_magnitude_is_zero_prior(self):
