@@ -5,8 +5,8 @@ exact policy iteration over the regularized models, and a deterministic
 Monte-Carlo harness measuring policy loss and transition-matrix MSE.
 """
 
-from .data import (CollectionConfig, Dataset, StartMode, Step, Trajectory,
-                   generate_dataset, sample_trajectory, write_dataset_csv)
+from .data import (CollectionConfig, Dataset, StartMode, generate_dataset,
+                   write_dataset_csv)
 from .environments import (DEFAULT_GRID_TOPOLOGY, GridNoiseConfig, MdpSpecError,
                            MdpValidationError, TopologyConfig, build_cliff_walk,
                            build_interconnected_grid, build_two_goals,

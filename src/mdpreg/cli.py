@@ -5,7 +5,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .environments import MdpSpecError, MdpValidationError, load_mdp_spec
+from .environments import MdpSpecError, load_mdp_spec
 from .harness import (ConfigError, builtin_presets, emit_csv, emit_summary,
                       load_experiment_config, override, run_experiment)
 from .properties import run_acceptance
@@ -90,15 +90,11 @@ def main(argv=None) -> int:
             print(f"OK: {mdp.name}: {mdp.n_states} states, {mdp.n_actions} actions,"
                   f" gamma={mdp.gamma}")
             return 0
-    except ConfigError as exc:
+    except (ConfigError, MdpSpecError) as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
         return 2
-    except MdpValidationError as exc:
-        for violation in exc.violations:
-            print(f"error: {violation}", file=sys.stderr)
-        return 2
-    except (MdpSpecError, OSError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

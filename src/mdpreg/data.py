@@ -10,8 +10,9 @@ so trajectories can be regenerated independently and in any order.
 from __future__ import annotations
 
 import csv
+from bisect import bisect_right
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,28 +20,19 @@ from .mdp import TabularMdp
 from .seeding import child_seed
 
 
-class Step(NamedTuple):
-    state: int
-    action: int
-    reward: float
-    next_state: int
-
-
-@dataclass(frozen=True)
-class Trajectory:
-    steps: tuple[Step, ...]
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    trajectories: tuple[Trajectory, ...]
+    """A batch as four ``(n_trajectories, trajectory_length)`` arrays: row i is
+    trajectory i and column j its step j; rewards are float64, the rest int64."""
+
+    states: np.ndarray
+    actions: np.ndarray
+    rewards: np.ndarray
+    next_states: np.ndarray
 
     @property
     def n_steps(self) -> int:
-        return sum(len(t) for t in self.trajectories)
+        return self.states.size
 
 
 @dataclass(frozen=True)
@@ -102,47 +94,41 @@ class CollectionConfig:
             raise ValueError(f"p_optimal must be in [0, 1], got {self.p_optimal}")
 
 
-def _sample_steps(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,
-                  rng: np.random.Generator, cum_rows: np.ndarray) -> Trajectory:
+def _trajectory_sampler(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig):
+    """The trajectory sampler, its start and transition CDFs built once:
+    ``sample(rng)`` returns one trajectory's (states, actions, rewards, next_states)."""
     n, n_actions = mdp.n_states, mdp.n_actions
-    start = cfg.start_mode.distribution(n)
-    state = int(np.searchsorted(np.cumsum(start), rng.random(), side="right"))
-    state = min(state, n - 1)
+    start_cdf = np.cumsum(cfg.start_mode.distribution(n)).tolist()
+    cum_rows = np.cumsum(mdp.transition, axis=2).tolist()
+    optimal, mean, std = optimal.tolist(), mdp.reward_mean.tolist(), mdp.reward_std.tolist()
 
-    steps = []
-    for _ in range(cfg.trajectory_length):
-        if rng.random() < cfg.p_optimal:
-            action = int(optimal[state])
-        else:
-            action = int(rng.integers(n_actions))
-        if state in mdp.absorbing:
-            reward, next_state = 0.0, state
-        else:
-            next_state = int(np.searchsorted(cum_rows[action, state], rng.random(),
-                                             side="right"))
-            next_state = min(next_state, n - 1)
-            reward = float(rng.normal(mdp.reward_mean[state, action],
-                                      mdp.reward_std[state, action]))
-        steps.append(Step(state, action, reward, next_state))
-        state = next_state
-    return Trajectory(tuple(steps))
+    def sample(rng: np.random.Generator):
+        steps = []
+        state = min(bisect_right(start_cdf, rng.random()), n - 1)
+        for _ in range(cfg.trajectory_length):
+            if rng.random() < cfg.p_optimal:
+                action = optimal[state]
+            else:
+                action = int(rng.integers(n_actions))
+            if state in mdp.absorbing:
+                reward, next_state = 0.0, state
+            else:
+                next_state = min(bisect_right(cum_rows[action][state], rng.random()), n - 1)
+                reward = float(rng.normal(mean[state][action], std[state][action]))
+            steps.append((state, action, reward, next_state))
+            state = next_state
+        return tuple(zip(*steps))
 
-
-def sample_trajectory(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,
-                      rng: np.random.Generator) -> Trajectory:
-    """Sample one trajectory of length cfg.trajectory_length from the true MDP."""
-    return _sample_steps(mdp, optimal, cfg, rng, np.cumsum(mdp.transition, axis=2))
+    return sample
 
 
 def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,
                      master_seed: int) -> Dataset:
-    """Generate cfg.n_trajectories trajectories, one child stream per trajectory."""
-    cum_rows = np.cumsum(mdp.transition, axis=2)
-    trajectories = []
-    for i in range(cfg.n_trajectories):
-        rng = np.random.default_rng(child_seed(master_seed, i))
-        trajectories.append(_sample_steps(mdp, optimal, cfg, rng, cum_rows))
-    return Dataset(tuple(trajectories))
+    """Generate cfg.n_trajectories trajectories; row i draws from child_seed(master_seed, i)."""
+    sample = _trajectory_sampler(mdp, optimal, cfg)
+    rows = [sample(np.random.default_rng(child_seed(master_seed, i)))
+            for i in range(cfg.n_trajectories)]
+    return Dataset(*map(np.array, zip(*rows)))
 
 
 def write_dataset_csv(path, datasets: Sequence[Dataset]) -> None:
@@ -152,7 +138,8 @@ def write_dataset_csv(path, datasets: Sequence[Dataset]) -> None:
         writer.writerow(["replication", "trajectory", "step", "state", "action",
                          "reward", "next_state"])
         for rep, dataset in enumerate(datasets):
-            for ti, traj in enumerate(dataset.trajectories):
-                for si, step in enumerate(traj.steps):
-                    writer.writerow([rep, ti, si, step.state, step.action,
-                                     step.reward, step.next_state])
+            columns = (dataset.states.tolist(), dataset.actions.tolist(),
+                       dataset.rewards.tolist(), dataset.next_states.tolist())
+            for ti, traj in enumerate(zip(*columns)):
+                for si, step in enumerate(zip(*traj)):
+                    writer.writerow([rep, ti, si, *step])

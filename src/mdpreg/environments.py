@@ -34,15 +34,16 @@ TWO_GOALS_LARGE = 1.0    # arrival reward at state 11
 
 
 class MdpSpecError(ValueError):
-    """Raised when an MDP spec file cannot be parsed into a TabularMdp."""
+    """Raised when an MDP spec file cannot be parsed into a TabularMdp;
+    ``problems`` holds one message per problem."""
+
+    def __init__(self, problems: str | list[str]):
+        self.problems = [problems] if isinstance(problems, str) else problems
+        super().__init__("; ".join(self.problems))
 
 
-class MdpValidationError(ValueError):
+class MdpValidationError(MdpSpecError):
     """Raised when a parsed MDP spec violates structural invariants."""
-
-    def __init__(self, violations: list[str]):
-        self.violations = violations
-        super().__init__("invalid MDP spec: " + "; ".join(violations))
 
 
 @dataclass(frozen=True)
@@ -266,7 +267,18 @@ def load_mdp_spec(path) -> TabularMdp:
     if missing:
         raise MdpSpecError(f"{path}: missing field(s): {', '.join(missing)}")
 
-    n, n_actions = doc["n_states"], doc["n_actions"]
+    # `type(x) is int` keeps JSON booleans out; `not 0 <= x < 1` catches NaN
+    n, n_actions, gamma, absorbing = (doc[f] for f in ("n_states", "n_actions", "gamma",
+                                                        "absorbing"))
+    problems = [f"{path}: field '{f}' must be a positive integer, got {doc[f]!r}"
+                for f in ("n_states", "n_actions") if type(doc[f]) is not int or doc[f] < 1]
+    if type(gamma) not in (int, float) or not 0 <= gamma < 1:
+        problems.append(f"{path}: field 'gamma' must be a number in [0, 1), got {gamma!r}")
+    if type(absorbing) is not list or any(type(s) is not int for s in absorbing):
+        problems.append(f"{path}: field 'absorbing' must be a list of integer states,"
+                        f" got {absorbing!r}")
+    if problems:
+        raise MdpSpecError(problems)
     try:
         transition = np.asarray(doc["transition"], dtype=float)
         reward_mean = np.asarray(doc["reward_mean"], dtype=float)

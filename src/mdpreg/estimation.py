@@ -43,21 +43,20 @@ class EstimatedModel:
 
 
 def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:
-    """Accumulate transition counts and reward sums over every step."""
-    c = np.zeros((n_states, n_actions, n_states), dtype=np.int64)
-    reward_sum = np.zeros((n_states, n_actions))
-    for ti, traj in enumerate(dataset.trajectories):
-        for si, step in enumerate(traj.steps):
-            ok = (0 <= step.state < n_states and 0 <= step.action < n_actions
-                  and 0 <= step.next_state < n_states)
-            if not ok:
-                raise ValueError(
-                    f"trajectory {ti} step {si}: indices {step[:2] + step[3:]} out of"
-                    f" range for {n_states} states x {n_actions} actions"
-                )
-            c[step.state, step.action, step.next_state] += 1
-            reward_sum[step.state, step.action] += step.reward
-    return CountsTensor(c, reward_sum, c.sum(axis=2))
+    """Transition counts and reward sums; rewards add in trajectory-then-step order."""
+    s, a, s_next = dataset.states, dataset.actions, dataset.next_states
+    bad = ((s < 0) | (s >= n_states) | (a < 0) | (a >= n_actions)
+           | (s_next < 0) | (s_next >= n_states))
+    if bad.any():
+        ti, si = np.argwhere(bad)[0]
+        step = tuple(int(x[ti, si]) for x in (s, a, s_next))
+        raise ValueError(f"trajectory {ti} step {si}: indices {step} out of range"
+                         f" for {n_states} states x {n_actions} actions")
+    sa = (s * n_actions + a).ravel()
+    c = np.bincount(sa * n_states + s_next.ravel(), minlength=n_states * n_actions * n_states
+                    ).reshape(n_states, n_actions, n_states)
+    reward_sum = np.bincount(sa, dataset.rewards.ravel(), minlength=n_states * n_actions)
+    return CountsTensor(c, reward_sum.reshape(n_states, n_actions), c.sum(axis=2))
 
 
 def mle_model(counts: CountsTensor) -> EstimatedModel:

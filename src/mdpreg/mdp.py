@@ -91,6 +91,10 @@ def validate_mdp(mdp: TabularMdp) -> list[str]:
     elif np.any(mdp.reward_std < 0):
         report.append("reward_std has negative entries")
 
+    for field in ("transition", "reward_mean", "reward_std", "start_dist"):
+        bad = np.argwhere(~np.isfinite(getattr(mdp, field)))
+        if len(bad):
+            report.append(f"{field} has a non-finite entry at index {tuple(bad[0].tolist())}")
     if np.any(t < 0):
         a, s, _ = np.argwhere(t < 0)[0]
         report.append(f"transition action {a} row {s} has a negative entry")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from mdpreg import build_two_goals, save_mdp_spec
 from mdpreg.cli import main
 from mdpreg.properties import CheckResult
@@ -103,3 +105,36 @@ def test_run_reports_each_ill_typed_field_without_traceback(tmp_path, capsys):
     assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
     assert "replications must be an integer" in lines[0] + lines[1]
     assert "eps_grid must be a list of finite numbers" in lines[0] + lines[1]
+
+
+def _set_nan(doc, table, index):
+    row = doc[table]
+    for i in index[:-1]:
+        row = row[i]
+    row[index[-1]] = float("nan")
+
+
+@pytest.mark.parametrize("edit,needle", [
+    (lambda doc: doc.update(gamma="x"), "field 'gamma' must be a number in [0, 1)"),
+    (lambda doc: doc.update(gamma=None), "field 'gamma' must be a number in [0, 1)"),
+    (lambda doc: doc.update(absorbing=5), "field 'absorbing' must be a list of integer"),
+    (lambda doc: doc.update(absorbing=["a"]), "field 'absorbing' must be a list of integer"),
+    (lambda doc: doc.update(absorbing=[1.5]), "field 'absorbing' must be a list of integer"),
+    (lambda doc: doc.update(n_states="2"), "field 'n_states' must be a positive integer"),
+    (lambda doc: _set_nan(doc, "transition", (0, 3, 2)),
+     "transition has a non-finite entry at index (0, 3, 2)"),
+    (lambda doc: _set_nan(doc, "reward_mean", (4, 1)),
+     "reward_mean has a non-finite entry at index (4, 1)"),
+], ids=["gamma-string", "gamma-null", "absorbing-int", "absorbing-strings",
+        "absorbing-float", "n_states-string", "transition-nan", "reward_mean-nan"])
+def test_mdp_validate_rejects_malformed_field(tmp_path, capsys, edit, needle):
+    path = tmp_path / "tg.json"
+    save_mdp_spec(build_two_goals(), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    assert main(["mdp", "validate", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "OK" not in captured.out
+    [line] = captured.err.splitlines()
+    assert line.startswith("error: ") and needle in line

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from mdpreg import (CollectionConfig, StartMode, TabularMdp, child_seed,
-                    generate_dataset, sample_trajectory, write_dataset_csv)
+                    generate_dataset, write_dataset_csv)
+from mdpreg.data import _trajectory_sampler
 
 
 def make_mdp(n=3, n_actions=2, gamma=0.9, seed=5, absorbing=()):
@@ -26,17 +27,18 @@ def greedy_zero(mdp):
 def test_trajectory_has_configured_length_and_chains():
     mdp = make_mdp()
     cfg = CollectionConfig(n_trajectories=1, trajectory_length=50)
-    traj = sample_trajectory(mdp, greedy_zero(mdp), cfg, np.random.default_rng(0))
-    assert len(traj) == 50
-    for prev, nxt in zip(traj.steps, traj.steps[1:]):
-        assert prev.next_state == nxt.state
+    ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 0)
+    assert ds.states.shape == ds.actions.shape == ds.rewards.shape == \
+        ds.next_states.shape == (1, 50)
+    np.testing.assert_array_equal(ds.next_states[:, :-1], ds.states[:, 1:])
 
 
 def test_same_seed_reproduces_trajectory():
     mdp = make_mdp()
     cfg = CollectionConfig(1, 30)
-    t1 = sample_trajectory(mdp, greedy_zero(mdp), cfg, np.random.default_rng(7))
-    t2 = sample_trajectory(mdp, greedy_zero(mdp), cfg, np.random.default_rng(7))
+    sample = _trajectory_sampler(mdp, greedy_zero(mdp), cfg)
+    t1 = sample(np.random.default_rng(7))
+    t2 = sample(np.random.default_rng(7))
     assert t1 == t2
 
 
@@ -44,26 +46,24 @@ def test_fully_optimal_behavior_records_only_optimal_actions():
     mdp = make_mdp()
     optimal = np.array([1, 0, 1])
     cfg = CollectionConfig(1, 200, p_optimal=1.0)
-    traj = sample_trajectory(mdp, optimal, cfg, np.random.default_rng(3))
-    for step in traj.steps:
-        assert step.action == optimal[step.state]
+    ds = generate_dataset(mdp, optimal, cfg, 3)
+    np.testing.assert_array_equal(ds.actions, optimal[ds.states])
 
 
 def test_random_behavior_action_frequencies_are_uniform():
     # 10^4 uniform coin flips over 2 actions concentrate within 0.02
     mdp = make_mdp(n_actions=2)
     cfg = CollectionConfig(1, 10_000, p_optimal=0.0)
-    traj = sample_trajectory(mdp, greedy_zero(mdp), cfg, np.random.default_rng(11))
-    freq = np.mean([s.action for s in traj.steps])
-    assert abs(freq - 0.5) < 0.02
+    ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 11)
+    assert abs(ds.actions.mean() - 0.5) < 0.02
 
 
 def test_absorbing_states_self_loop_with_zero_reward():
     mdp = make_mdp(absorbing=(1,))
     cfg = CollectionConfig(1, 25, start_mode=StartMode.fixed(1))
-    traj = sample_trajectory(mdp, greedy_zero(mdp), cfg, np.random.default_rng(2))
-    for step in traj.steps:
-        assert step == (1, step.action, 0.0, 1)
+    ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 2)
+    assert np.all(ds.states == 1) and np.all(ds.next_states == 1)
+    assert np.all(ds.rewards == 0.0)
 
 
 @pytest.mark.parametrize("n,length", [(15, 10), (25, 20)])
@@ -71,17 +71,17 @@ def test_dataset_step_totals_match_caption_sizes(n, length):
     mdp = make_mdp()
     cfg = CollectionConfig(n, length)
     ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 99)
-    assert len(ds.trajectories) == n
+    assert ds.states.shape == (n, length)
     assert ds.n_steps == n * length
 
 
 def test_dataset_is_pure_function_of_seed():
     mdp = make_mdp()
     cfg = CollectionConfig(10, 10)
-    assert generate_dataset(mdp, greedy_zero(mdp), cfg, 42) == \
-        generate_dataset(mdp, greedy_zero(mdp), cfg, 42)
-    assert generate_dataset(mdp, greedy_zero(mdp), cfg, 42) != \
-        generate_dataset(mdp, greedy_zero(mdp), cfg, 43)
+    a, b, c = (generate_dataset(mdp, greedy_zero(mdp), cfg, seed) for seed in (42, 42, 43))
+    for field in ("states", "actions", "rewards", "next_states"):
+        assert np.array_equal(getattr(a, field), getattr(b, field))
+    assert not np.array_equal(a.rewards, c.rewards)
 
 
 def test_trajectories_are_independent_child_streams():
@@ -89,23 +89,24 @@ def test_trajectories_are_independent_child_streams():
     mdp = make_mdp()
     cfg = CollectionConfig(6, 12)
     ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 1234)
-    solo = sample_trajectory(mdp, greedy_zero(mdp), cfg,
-                             np.random.default_rng(child_seed(1234, 4)))
-    assert ds.trajectories[4] == solo
+    solo = _trajectory_sampler(mdp, greedy_zero(mdp), cfg)(
+        np.random.default_rng(child_seed(1234, 4)))
+    for row, column in zip((ds.states, ds.actions, ds.rewards, ds.next_states), solo):
+        assert np.array_equal(row[4], column)
 
 
 def test_fixed_start_mode():
     mdp = make_mdp()
     cfg = CollectionConfig(20, 5, start_mode=StartMode.fixed(2))
     ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 0)
-    assert all(t.steps[0].state == 2 for t in ds.trajectories)
+    assert np.all(ds.states[:, 0] == 2)
 
 
 def test_set_start_mode_stays_within_set():
     mdp = make_mdp(n=5)
     cfg = CollectionConfig(50, 3, start_mode=StartMode.subset([1, 3]))
     ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 0)
-    starts = {t.steps[0].state for t in ds.trajectories}
+    starts = set(ds.states[:, 0].tolist())
     assert starts == {1, 3}
 
 
@@ -113,7 +114,7 @@ def test_uniform_start_mode_covers_all_states():
     mdp = make_mdp(n=4)
     cfg = CollectionConfig(200, 1)
     ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 0)
-    starts = {t.steps[0].state for t in ds.trajectories}
+    starts = set(ds.states[:, 0].tolist())
     assert starts == {0, 1, 2, 3}
 
 
@@ -145,8 +146,8 @@ def test_dataset_csv_dump(tmp_path):
     assert lines[0] == "replication,trajectory,step,state,action,reward,next_state"
     assert len(lines) == 1 + 2 * 2 * 3
     rep, traj, step, state, action, reward, nxt = lines[1].split(",")
-    first = datasets[0].trajectories[0].steps[0]
+    first = datasets[0]
     assert (int(rep), int(traj), int(step)) == (0, 0, 0)
-    assert (int(state), int(action), int(nxt)) == (first.state, first.action,
-                                                   first.next_state)
-    assert float(reward) == first.reward
+    assert (int(state), int(action), int(nxt)) == (first.states[0, 0], first.actions[0, 0],
+                                                   first.next_states[0, 0])
+    assert float(reward) == first.rewards[0, 0]

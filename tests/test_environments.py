@@ -2,9 +2,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mdpreg import (GridNoiseConfig, MdpSpecError, MdpValidationError,
-                    PlanningProblem, TopologyConfig, build_cliff_walk,
+                    PlanningProblem, TabularMdp, TopologyConfig, build_cliff_walk,
                     build_interconnected_grid, build_two_goals,
                     cliff_near_goal_states, load_mdp_spec, policy_evaluation,
                     policy_iteration, save_mdp_spec, validate_mdp)
@@ -209,3 +211,28 @@ class TestSpecFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(MdpSpecError, match="start_dist"):
             load_mdp_spec(path)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_actions=st.integers(1, 4),
+       gamma=st.floats(0.0, 1.0, exclude_max=True), name=st.text(max_size=12),
+       data=st.data())
+def test_spec_round_trip_is_exact_on_random_mdps(tmp_path_factory, seed, n, n_actions,
+                                                 gamma, name, data):
+    rng = np.random.default_rng(seed)
+    absorbing = data.draw(st.sets(st.integers(0, n - 1)))
+    t = rng.dirichlet(np.ones(n), size=(n_actions, n))
+    r = rng.normal(size=(n, n_actions)) * 10.0 ** rng.integers(-3, 4, (n, n_actions))
+    for s in absorbing:
+        t[:, s, :] = 0.0
+        t[:, s, s] = 1.0
+        r[s, :] = 0.0
+    mdp = TabularMdp(t, r, rng.uniform(0, 2, (n, n_actions)), gamma,
+                     rng.dirichlet(np.ones(n)), absorbing=absorbing, name=name)
+    assert validate_mdp(mdp) == []
+    path = tmp_path_factory.mktemp("spec") / "mdp.json"
+    save_mdp_spec(mdp, path)
+    loaded = load_mdp_spec(path)
+    for field in ("transition", "reward_mean", "reward_std", "start_dist"):
+        np.testing.assert_array_equal(getattr(loaded, field), getattr(mdp, field))
+    assert (loaded.gamma, loaded.absorbing, loaded.name) == (mdp.gamma, mdp.absorbing, mdp.name)

@@ -1,17 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdpreg import (CollectionConfig, Dataset, Step, Trajectory,
-                    count, generate_dataset, mle_model)
+from mdpreg import CollectionConfig, Dataset, count, generate_dataset, mle_model
 from tests.test_data import greedy_zero, make_mdp
+
+EMPTY = Dataset(*(np.empty((0, 0), dtype) for dtype in (np.int64, np.int64, float, np.int64)))
 
 
 def dataset_of(*steps):
-    return Dataset((Trajectory(tuple(Step(*s) for s in steps)),))
+    """One trajectory of (state, action, reward, next_state) steps."""
+    return Dataset(*(np.array([column]) for column in zip(*steps)))
 
 
 def test_empty_dataset_counts_to_zero():
-    counts = count(Dataset(()), 3, 2)
+    counts = count(EMPTY, 3, 2)
     assert counts.c.sum() == 0
     assert counts.visit_count.sum() == 0
     assert counts.reward_sum.sum() == 0.0
@@ -46,7 +50,7 @@ def test_mle_rows_are_empirical_frequencies():
 
 
 def test_unvisited_pairs_get_uniform_rows_and_half_reward():
-    model = mle_model(count(Dataset(()), 10, 2))
+    model = mle_model(count(EMPTY, 10, 2))
     np.testing.assert_array_equal(model.t_hat, np.full((2, 10, 10), 0.1))
     np.testing.assert_array_equal(model.r_hat, np.full((10, 2), 0.50))
 
@@ -78,3 +82,66 @@ def test_visited_absorbing_pairs_estimate_zero_reward():
     visited = counts.visit_count[2] > 0
     assert visited.any()
     np.testing.assert_array_equal(model.r_hat[2][visited], 0.0)
+
+
+def reference_count(dataset, n_states, n_actions):
+    """The per-step loop ``count`` replaced, kept as the oracle for its bincounts."""
+    c = np.zeros((n_states, n_actions, n_states), dtype=np.int64)
+    reward_sum = np.zeros((n_states, n_actions))
+    columns = (dataset.states.tolist(), dataset.actions.tolist(),
+               dataset.rewards.tolist(), dataset.next_states.tolist())
+    for ti, traj in enumerate(zip(*columns)):
+        for si, (s, a, r, s_next) in enumerate(zip(*traj)):
+            if not (0 <= s < n_states and 0 <= a < n_actions and 0 <= s_next < n_states):
+                raise ValueError(f"trajectory {ti} step {si}: indices {(s, a, s_next)} out of"
+                                 f" range for {n_states} states x {n_actions} actions")
+            c[s, a, s_next] += 1
+            reward_sum[s, a] += r
+    return c, reward_sum
+
+
+def random_dataset(seed, n, n_actions, n_traj, length, p_bad):
+    """Random steps; rewards span magnitudes so summation order shows in the bits,
+    and each index is out of range with probability ``p_bad``."""
+    rng = np.random.default_rng(seed)
+    shape = (n_traj, length)
+
+    def index(high):
+        return np.where(rng.random(shape) < p_bad, rng.choice([-1, high], shape),
+                        rng.integers(0, high, shape))
+
+    rewards = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, shape)
+    return Dataset(index(n), index(n_actions), rewards, index(n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), n_actions=st.integers(1, 4),
+       n_traj=st.integers(0, 6), length=st.integers(0, 12),
+       p_bad=st.sampled_from([0.0, 0.0, 0.02]))
+def test_count_and_mle_match_the_per_step_reference(seed, n, n_actions, n_traj, length,
+                                                    p_bad):
+    ds = random_dataset(seed, n, n_actions, n_traj, length, p_bad)
+    try:
+        c, reward_sum = reference_count(ds, n, n_actions)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as raised:
+            count(ds, n, n_actions)
+        assert str(raised.value) == str(exc)
+        return
+    counts = count(ds, n, n_actions)
+    np.testing.assert_array_equal(counts.c, c)
+    np.testing.assert_array_equal(counts.reward_sum, reward_sum)  # bit for bit
+    np.testing.assert_array_equal(counts.visit_count, c.sum(axis=2))
+
+    model = mle_model(counts)
+    visits = c.sum(axis=2)
+    for s in range(n):
+        for a in range(n_actions):
+            if visits[s, a]:
+                np.testing.assert_array_equal(model.t_hat[a, s], c[s, a] / visits[s, a])
+                assert model.r_hat[s, a] == reward_sum[s, a] / visits[s, a]
+            else:
+                np.testing.assert_array_equal(model.t_hat[a, s], np.full(n, 1.0 / n))
+                assert model.r_hat[s, a] == 0.50
+    np.testing.assert_allclose(model.t_hat.sum(axis=2), 1.0, rtol=0, atol=1e-12)
+    assert np.all(model.t_hat >= 0)

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -116,6 +117,22 @@ class TestFailureHandling:
         seed = child_seed(777, 2)
         with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
             run_experiment(tiny_config())
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched harness only when forked")
+    def test_pool_replication_failure_names_its_index(self, monkeypatch):
+        # keyed on the child seed: a call counter would count per worker process
+        real = harness.generate_dataset
+        seed = child_seed(777, 2)
+
+        def flaky(mdp, optimal, cfg, master_seed):
+            if master_seed == seed:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return real(mdp, optimal, cfg, master_seed)
+
+        monkeypatch.setattr(harness, "generate_dataset", flaky)
+        with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
+            run_experiment(tiny_config(workers=2))
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
         def stuck(problem, tie_tol=None, initial_policy=None):
