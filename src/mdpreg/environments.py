@@ -250,11 +250,17 @@ def save_mdp_spec(mdp: TabularMdp, path) -> None:
         fh.write("\n")
 
 
+def _is_number_table(value) -> bool:
+    """A JSON number or a list of such tables (a bool or a string is no number)."""
+    return type(value) in (int, float) or (type(value) is list
+                                           and all(map(_is_number_table, value)))
+
+
 def load_mdp_spec(path) -> TabularMdp:
     """Load and validate a JSON MDP spec; round-trips save_mdp_spec exactly.
 
-    Raises MdpSpecError naming the offending field on schema problems and
-    MdpValidationError listing all violated invariants on semantic ones.
+    Raises MdpSpecError listing every schema problem (a wrong type or table
+    shape) and MdpValidationError listing all violated invariants.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -272,33 +278,32 @@ def load_mdp_spec(path) -> TabularMdp:
                                                         "absorbing"))
     problems = [f"{path}: field '{f}' must be a positive integer, got {doc[f]!r}"
                 for f in ("n_states", "n_actions") if type(doc[f]) is not int or doc[f] < 1]
+    sized = not problems  # table shapes are checked only against valid sizes
+    if type(doc["name"]) is not str:
+        problems.append(f"{path}: field 'name' must be a string, got {doc['name']!r}")
     if type(gamma) not in (int, float) or not 0 <= gamma < 1:
         problems.append(f"{path}: field 'gamma' must be a number in [0, 1), got {gamma!r}")
     if type(absorbing) is not list or any(type(s) is not int for s in absorbing):
         problems.append(f"{path}: field 'absorbing' must be a list of integer states,"
                         f" got {absorbing!r}")
+    tables = {}
+    for field, shape in (("transition", (n_actions, n, n)), ("reward_mean", (n, n_actions)),
+                         ("reward_std", (n, n_actions)), ("start_dist", (n,))):
+        try:  # a ragged list or an int too large for a float fails the conversion
+            arr = np.asarray(doc[field], dtype=float) if _is_number_table(doc[field]) else None
+        except (ValueError, OverflowError):
+            arr = None
+        if arr is None:
+            problems.append(f"{path}: field '{field}' must be nested lists of JSON numbers"
+                            f" (no strings, booleans or ragged rows)")
+        elif sized and arr.shape != shape:
+            problems.append(f"{path}: field '{field}' must have shape {shape}, got {arr.shape}")
+        tables[field] = arr
     if problems:
         raise MdpSpecError(problems)
-    try:
-        transition = np.asarray(doc["transition"], dtype=float)
-        reward_mean = np.asarray(doc["reward_mean"], dtype=float)
-        reward_std = np.asarray(doc["reward_std"], dtype=float)
-        start_dist = np.asarray(doc["start_dist"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise MdpSpecError(f"{path}: malformed numeric table ({exc})")
-    if transition.shape != (n_actions, n, n):
-        raise MdpSpecError(
-            f"{path}: field 'transition' must have shape ({n_actions}, {n}, {n}),"
-            f" got {transition.shape}"
-        )
-    for field, arr, shape in (("reward_mean", reward_mean, (n, n_actions)),
-                              ("reward_std", reward_std, (n, n_actions)),
-                              ("start_dist", start_dist, (n,))):
-        if arr.shape != shape:
-            raise MdpSpecError(f"{path}: field '{field}' must have shape {shape}, got {arr.shape}")
 
-    mdp = TabularMdp(transition, reward_mean, reward_std, doc["gamma"], start_dist,
-                     absorbing=set(doc["absorbing"]), name=str(doc["name"]))
+    mdp = TabularMdp(tables["transition"], tables["reward_mean"], tables["reward_std"],
+                     gamma, tables["start_dist"], absorbing=set(absorbing), name=doc["name"])
     violations = validate_mdp(mdp)
     if violations:
         raise MdpValidationError(violations)

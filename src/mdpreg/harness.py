@@ -13,6 +13,7 @@ import hashlib
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import groupby, zip_longest
@@ -238,6 +239,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if problems:
         raise ConfigError(problems)
     mdp = resolve_mdp(cfg)
+    problems = [f"start state {s} out of range [0, {mdp.n_states}) of MDP {cfg.mdp!r}"
+                for s in cfg.collection.start_mode.states if not 0 <= s < mdp.n_states]
+    if problems:
+        raise ConfigError(problems)
     true_problem = PlanningProblem.from_mdp(mdp)
     pi_opt, _ = policy_iteration(true_problem)
     v_opt = policy_evaluation(true_problem, pi_opt)
@@ -258,8 +263,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         results = [task(r) for r in reps]
     else:
         chunk = max(1, cfg.replications // (cfg.workers * 8))
+        results = []
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(task, reps, chunksize=chunk))
+            try:
+                for result in pool.map(task, reps, chunksize=chunk):
+                    results.append(result)
+            except BrokenProcessPool as exc:
+                # map yields in replication order: the first result missing is len(results)
+                rep = len(results)
+                first = rep - rep % chunk
+                last = min(first + chunk, cfg.replications) - 1
+                raise RuntimeError(
+                    f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
+                    f" chunk of replications {first}-{last}) was not received:"
+                    f" a worker process died ({exc})") from exc
 
     # stack in replication order; np reductions then sum in a fixed order
     losses = np.stack([r[0] for r in results])
@@ -349,14 +366,15 @@ def _is_number(value) -> bool:
     return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
 
 
-def _start_mode_from_json(value) -> StartMode | None:
-    """The start mode a JSON value spells, or None."""
+def _start_mode_args(value) -> tuple[str, tuple[int, ...]] | None:
+    """The StartMode (kind, states) a JSON value spells, or None; StartMode
+    itself then checks the states (duplicates) in the range-problem pass."""
     if value == "uniform":
-        return StartMode.uniform()
+        return "uniform", ()
     if isinstance(value, dict) and list(value) in (["fixed"], ["set"]):
         states = value.get("set", [value.get("fixed")])
         if isinstance(states, list) and states and all(map(_is_int, states)):
-            return StartMode(next(iter(value)), tuple(states))
+            return next(iter(value)), tuple(states)
     return None
 
 
@@ -375,7 +393,7 @@ _FIELD_TYPES = {
     "collection": (lambda v: isinstance(v, dict), "a JSON object"),
     "collection.n_trajectories": _INTEGER, "collection.trajectory_length": _INTEGER,
     "collection.p_optimal": (_is_number, "a finite number"),
-    "collection.start_mode": (lambda v: _start_mode_from_json(v) is not None,
+    "collection.start_mode": (lambda v: _start_mode_args(v) is not None,
                               '"uniform", {"fixed": s} or {"set": [s, ...]}'),
 }
 
@@ -412,7 +430,7 @@ def load_experiment_config(path) -> ExperimentConfig:
             n_trajectories=coll["n_trajectories"],
             trajectory_length=coll["trajectory_length"],
             p_optimal=float(coll.get("p_optimal", 0.0)),
-            start_mode=_start_mode_from_json(coll.get("start_mode", "uniform")),
+            start_mode=StartMode(*_start_mode_args(coll.get("start_mode", "uniform"))),
         )
     except ValueError as exc:
         raise ConfigError([str(exc)])

@@ -125,8 +125,20 @@ def _set_nan(doc, table, index):
      "transition has a non-finite entry at index (0, 3, 2)"),
     (lambda doc: _set_nan(doc, "reward_mean", (4, 1)),
      "reward_mean has a non-finite entry at index (4, 1)"),
+    (lambda doc: doc["reward_std"][0].__setitem__(0, "0.5"),
+     "field 'reward_std' must be nested lists of JSON numbers"),
+    (lambda doc: doc.update(start_dist=[True] + [False] * 11),
+     "field 'start_dist' must be nested lists of JSON numbers"),
+    (lambda doc: doc["transition"][1].pop(), "field 'transition' must be nested lists"),
+    (lambda doc: doc.update(reward_mean=[[10 ** 400] * 3] * 12),
+     "field 'reward_mean' must be nested lists of JSON numbers"),
+    (lambda doc: doc.update(name=["x"]), "field 'name' must be a string, got ['x']"),
+    (lambda doc: doc.update(start_dist=doc["start_dist"][:5]),
+     "field 'start_dist' must have shape (12,), got (5,)"),
 ], ids=["gamma-string", "gamma-null", "absorbing-int", "absorbing-strings",
-        "absorbing-float", "n_states-string", "transition-nan", "reward_mean-nan"])
+        "absorbing-float", "n_states-string", "transition-nan", "reward_mean-nan",
+        "reward_std-string", "start_dist-bool", "transition-ragged", "reward_mean-huge-int",
+        "name-list", "start_dist-shape"])
 def test_mdp_validate_rejects_malformed_field(tmp_path, capsys, edit, needle):
     path = tmp_path / "tg.json"
     save_mdp_spec(build_two_goals(), path)
@@ -138,3 +150,38 @@ def test_mdp_validate_rejects_malformed_field(tmp_path, capsys, edit, needle):
     assert "OK" not in captured.out
     [line] = captured.err.splitlines()
     assert line.startswith("error: ") and needle in line
+
+
+def test_mdp_validate_reports_every_spec_problem(tmp_path, capsys):
+    path = tmp_path / "tg.json"
+    save_mdp_spec(build_two_goals(), path)
+    doc = json.loads(path.read_text())
+    doc.update(name=7, reward_std=doc["reward_std"][:3], start_dist=[0.5, 0.5],
+               transition=doc["transition"][:2])
+    path.write_text(json.dumps(doc))
+    assert main(["mdp", "validate", str(path)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 4 and all(line.startswith("error: ") for line in lines)
+    for needle in ("'name' must be a string", "'transition' must have shape (3, 12, 12)",
+                   "'reward_std' must have shape (12, 3)", "'start_dist' must have shape (12,)"):
+        assert sum(needle in line for line in lines) == 1
+
+
+@pytest.mark.parametrize("start_mode,needles", [
+    ({"set": [0, 0, 1]}, ["start states [0, 0, 1] have duplicates"]),
+    ({"fixed": 99}, ["start state 99 out of range [0, 10) of MDP 'grid'"]),
+    ({"set": [-1, 2, 10]}, ["start state -1 out of range", "start state 10 out of range"]),
+], ids=["duplicate", "fixed-too-large", "set-out-of-range"])
+def test_run_rejects_bad_start_states(tmp_path, capsys, monkeypatch, start_mode, needles):
+    monkeypatch.setattr("mdpreg.harness._replication_task", None)  # no replication may run
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "mdp": "grid", "replications": 2, "methods": ["none"],
+        "collection": {"n_trajectories": 3, "trajectory_length": 5, "start_mode": start_mode},
+    }))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == len(needles) and "mean_loss" not in captured.out
+    for line, needle in zip(lines, needles):
+        assert line.startswith("error: ") and needle in line

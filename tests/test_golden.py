@@ -1,13 +1,12 @@
 """Golden CSVs: batching and other performance work must not move a byte.
 
 Each file is the output of ``mdpreg preset <name> --replications 3 --seed 1729
---out tests/golden/<name>.csv``. ``cliff-random`` and ``grid-start-single``
-come from the cell-by-cell harness that preceded the batched waves,
-``twogoals-mixed`` from the trajectory-object data layer that preceded the
-array-native ``Dataset``. ``cliff-random`` covers the largest state space with
-unvisited pairs, ``grid-start-single`` a fixed start state, and
-``twogoals-mixed`` the optimal-action branch (``p_optimal = 0.5``) with
-absorbing goals; all sweep 53 cells. Regenerate them only for a deliberate
+--out tests/golden/<name>.csv``, regenerated when the lockstep generator
+changed the sampled data ("dataset stream v2"); before that the wave planner
+and the array-native ``Dataset`` left them byte-identical. ``cliff-random``
+covers the largest state space with unvisited pairs, ``grid-start-single`` a
+fixed start state, and ``twogoals-mixed`` the optimal-action branch
+(``p_optimal = 0.5``) with absorbing goals; all sweep 53 cells. Regenerate them only for a deliberate
 change to the sampled data or the metrics, and say so in the change log.
 """
 

@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -133,6 +134,24 @@ class TestFailureHandling:
         monkeypatch.setattr(harness, "generate_dataset", flaky)
         with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
             run_experiment(tiny_config(workers=2))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched harness only when forked")
+    def test_pool_worker_death_names_the_first_missing_replication(self, monkeypatch):
+        # replication 0's worker exits outright; 32 replications on 2 workers
+        # run in chunks of 2, so nothing precedes it and its chunk is 0-1
+        real = harness.generate_dataset
+        seed = child_seed(777, 0)
+
+        def dying(mdp, optimal, cfg, master_seed):
+            if master_seed == seed:
+                os._exit(1)
+            return real(mdp, optimal, cfg, master_seed)
+
+        monkeypatch.setattr(harness, "generate_dataset", dying)
+        with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, chunk of"
+                                               rf" replications 0-1\) was not received"):
+            run_experiment(tiny_config(workers=2, replications=32))
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
         def stuck(problem, tie_tol=None, initial_policy=None):
