@@ -81,6 +81,9 @@ def main(argv=None) -> int:
                 return 2
             return _execute(presets[args.name], args)
         if args.command == "check":
+            if args.workers is not None and args.workers < 1:
+                print("error: workers must be >= 1", file=sys.stderr)
+                return 2
             results = run_acceptance(quick=args.quick, workers=args.workers)
             for result in results:
                 print(result.line())

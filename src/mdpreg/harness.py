@@ -68,6 +68,12 @@ class ExperimentConfig:
     out: str | None = None
     workers: int = 1
 
+    def __post_init__(self):
+        # -0.0 == 0.0 runs the same cells, so it must print and hash as 0.0
+        for name in ("eps_grid", "magnitude_grid"):
+            grid = tuple(abs(v) if v == 0 else v for v in getattr(self, name))
+            object.__setattr__(self, name, grid)
+
 
 @dataclass(frozen=True)
 class ResultRow:

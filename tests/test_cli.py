@@ -92,6 +92,16 @@ def test_check_verb_reports_and_sets_exit_code(monkeypatch, capsys):
     assert main(["check"]) == 0
 
 
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_check_rejects_workers_below_one(monkeypatch, capsys, workers):
+    # rejected like `run --workers 0`, not replaced by default_workers()
+    ran = []
+    monkeypatch.setattr("mdpreg.cli.run_acceptance", lambda **kw: ran.append(kw) or [])
+    assert main(["check", "--quick", "--workers", workers]) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+    assert ran == []
+
+
 def test_run_reports_each_ill_typed_field_without_traceback(tmp_path, capsys):
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({

@@ -1,11 +1,11 @@
 from bisect import bisect_right
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mdpreg.data as data
 from mdpreg import (CollectionConfig, StartMode, TabularMdp, child_seed,
                     generate_dataset, write_dataset_csv)
 
@@ -93,18 +93,6 @@ def test_dataset_is_pure_function_of_seed():
     assert not np.array_equal(a.rewards, c.rewards)
 
 
-def test_trajectories_are_independent_child_streams(monkeypatch):
-    # row i depends only on child_seed(master, i): handing the rows their
-    # streams in reverse order reverses the rows
-    mdp = make_mdp()
-    cfg = CollectionConfig(6, 12)
-    ds = generate_dataset(mdp, greedy_zero(mdp), cfg, 1234)
-    monkeypatch.setattr(data, "child_seed", lambda master, i: child_seed(master, 5 - i))
-    flipped = generate_dataset(mdp, greedy_zero(mdp), cfg, 1234)
-    for field in FIELDS:
-        assert np.array_equal(getattr(ds, field)[::-1], getattr(flipped, field))
-
-
 def test_dataset_arrays_are_read_only():
     mdp = make_mdp()
     ds = generate_dataset(mdp, greedy_zero(mdp), CollectionConfig(3, 4), 0)
@@ -178,17 +166,19 @@ def test_dataset_csv_dump(tmp_path):
 # --- the lockstep generator against per-trajectory scalar loops -------------
 
 def _scalar_reference(mdp, optimal, cfg, master_seed):
-    """One trajectory at a time over the same (u, z) blocks as generate_dataset,
-    with bisect_right on Python lists: the oracle for the lockstep loop."""
+    """One trajectory at a time, drawing its (u, z) rows one after another from
+    the two spawned streams, with bisect_right on Python lists: the oracle for
+    the lockstep loop and the row-major layout of its blocks."""
     n, n_actions = mdp.n_states, mdp.n_actions
     start_cdf = np.cumsum(cfg.start_mode.distribution(n)).tolist()
     cum_rows = np.cumsum(mdp.transition, axis=2).tolist()
     mean, std = mdp.reward_mean.tolist(), mdp.reward_std.tolist()
+    u_rng, z_rng = map(np.random.default_rng, np.random.SeedSequence(master_seed).spawn(2))
     rows = []
-    for i in range(cfg.n_trajectories):
-        rng = np.random.default_rng(child_seed(master_seed, i))
-        u = rng.random(1 + 3 * cfg.trajectory_length).tolist()
-        z = rng.standard_normal(cfg.trajectory_length).tolist()
+    for _ in range(cfg.n_trajectories):
+        # row i's blocks are the i-th consecutive draws of the two streams
+        u = u_rng.random(1 + 3 * cfg.trajectory_length).tolist()
+        z = z_rng.standard_normal(cfg.trajectory_length).tolist()
         steps = []
         state = min(bisect_right(start_cdf, u[0]), n - 1)
         for j in range(cfg.trajectory_length):
@@ -242,6 +232,20 @@ def test_lockstep_generator_equals_the_scalar_loop(case):
     ds = generate_dataset(mdp, optimal, cfg, master_seed)
     for field, expected in zip(FIELDS, _scalar_reference(mdp, optimal, cfg, master_seed)):
         assert np.array_equal(getattr(ds, field), expected), field
+
+
+@settings(max_examples=100, deadline=None)
+@given(collection_cases(), st.integers(1, 6))
+def test_first_rows_are_the_smaller_dataset(case, extra_rows):
+    # a row depends only on (master_seed, row): the first n rows of an m-row
+    # dataset (n < m) are the n-row dataset, rewards included
+    mdp, optimal, cfg, master_seed = case
+    small = generate_dataset(mdp, optimal, cfg, master_seed)
+    big = generate_dataset(mdp, optimal, replace(cfg, n_trajectories=cfg.n_trajectories
+                                                 + extra_rows), master_seed)
+    for field in FIELDS:
+        assert np.array_equal(getattr(big, field)[:cfg.n_trajectories],
+                              getattr(small, field)), field
 
 
 def _previous_sampler(mdp, optimal, cfg):

@@ -1,8 +1,9 @@
 """Golden CSVs: batching and other performance work must not move a byte.
 
 Each file is the output of ``mdpreg preset <name> --replications 3 --seed 1729
---out tests/golden/<name>.csv``, regenerated when the lockstep generator
-changed the sampled data ("dataset stream v2"); before that the wave planner
+--out tests/golden/<name>.csv``, regenerated when the sampled data changed on
+purpose: for the lockstep generator ("dataset stream v2") and for the two
+spawned row-major streams per dataset ("dataset stream v3"); the wave planner
 and the array-native ``Dataset`` left them byte-identical. ``cliff-random``
 covers the largest state space with unvisited pairs, ``grid-start-single`` a
 fixed start state, and ``twogoals-mixed`` the optimal-action branch

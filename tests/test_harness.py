@@ -324,6 +324,23 @@ class TestConfigFile:
         assert len(cfg.eps_grid) == 21
         assert cfg.collection.start_mode == StartMode.uniform()
 
+    def test_negative_zero_strength_is_zero(self, tmp_path):
+        # -0.0 and 0.0 run the same cells: same strength column, hash and bytes
+        cfgs, csvs = [], []
+        for zero in (-0.0, 0.0):
+            path, out = tmp_path / "exp.json", tmp_path / f"rows{len(csvs)}.csv"
+            path.write_text(json.dumps({
+                "mdp": "grid", "eps_grid": [zero, 0.5], "magnitude_grid": [zero, 10.0],
+                "collection": {"n_trajectories": 3, "trajectory_length": 5},
+                "replications": 2}))
+            cfgs.append(load_experiment_config(path))
+            emit_csv(run_experiment(cfgs[-1]), out)
+            csvs.append(out.read_text())
+        assert config_hash(cfgs[0]) == config_hash(cfgs[1])
+        strengths = [line.split(",")[1] for line in csvs[0].splitlines()[1:]]
+        assert strengths.count("0") == 3 and not any(s.startswith("-") for s in strengths)
+        assert csvs[0] == csvs[1]
+
     def test_unknown_field_rejected(self, tmp_path):
         path = tmp_path / "exp.json"
         path.write_text('{"mdp": "grid", "collection": {"n_trajectories": 3,'
