@@ -12,7 +12,7 @@ from .environments import (DEFAULT_GRID_TOPOLOGY, GridNoiseConfig, MdpSpecError,
                            build_interconnected_grid, build_two_goals,
                            cliff_near_goal_states, load_mdp_spec, save_mdp_spec)
 from .estimation import CountsTensor, EstimatedModel, count, mle_model
-from .evaluation import LossResult, MseResult, policy_loss, transition_mse
+from .evaluation import MseResult, transition_mse
 from .harness import (ConfigError, ExperimentConfig, ResultRow, builtin_presets,
                       config_hash, emit_csv, emit_summary, load_experiment_config,
                       run_experiment)
@@ -21,8 +21,7 @@ from .planning import (PlanningProblem, EquivalenceReport, PolicyIterationError,
                        greedy_from_q, policy_evaluation, policy_iteration, q_from_values,
                        q_gaps, uniform_blend_equivalence)
 from .regularizers import (DirichletPrior, RegularizedModel, alpha_sum_from_eps,
-                           dirichlet_posterior_mean, discount_blend,
-                           eps_from_gammas, eps_from_prior, eps_greedy_blend,
+                           dirichlet_posterior_mean, eps_from_gammas, eps_from_prior,
                            gamma_l_from_eps, implied_prior_magnitude, regularize,
                            uniform_prior)
 from .seeding import child_seed

@@ -1,4 +1,5 @@
-"""The three benchmark MDPs plus JSON load/save for arbitrary tabular MDPs.
+"""The three benchmark MDPs plus JSON load/save for arbitrary tabular MDPs,
+and the JSON reading and type predicates the experiment-config loader shares.
 
 Rewards in all builders follow the on-arrival convention: the mean reward
 at (s, a) is the expectation over next states of the reward paid for
@@ -12,6 +13,7 @@ is drawn uniformly at random over all moves (including the intended one).
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,18 +96,38 @@ DEFAULT_GRID_TOPOLOGY = TopologyConfig(
 )
 
 
-def _cliff_destination(state: int, direction: int) -> int:
-    """Clamped grid move; off-grid moves keep the agent in place."""
+def _slip_grid(noise: GridNoiseConfig, n_actions: int, move, start: np.ndarray,
+               absorbing: set[int], gamma: float, name: str) -> TabularMdp:
+    """The MDP in which action ``a`` executes move ``d`` with probability
+    ``slip_prob / n_actions``, plus ``1 - slip_prob`` when ``d == a``;
+    ``move(s, d)`` gives the destination and arrival reward of move ``d``
+    from ``s``. Absorbing states self-loop with zero reward and noise."""
+    n = len(start)
+    weights = np.full((n_actions, n_actions), noise.slip_prob / n_actions)  # [a, d]
+    weights[np.diag_indices(n_actions)] += 1.0 - noise.slip_prob
+    t = np.zeros((n_actions, n, n))
+    r_mean = np.zeros((n, n_actions))
+    r_std = np.full((n, n_actions), noise.reward_std)
+    for s in range(n):
+        if s in absorbing:
+            t[:, s, s] = 1.0
+            r_std[s] = 0.0
+            continue
+        for d in range(n_actions):
+            dest, reward = move(s, d)
+            t[:, s, dest] += weights[:, d]
+            r_mean[s] += weights[:, d] * reward
+    return TabularMdp(t, r_mean, r_std, gamma, start, absorbing=absorbing, name=name)
+
+
+def _cliff_move(state: int, direction: int) -> tuple[int, float]:
+    """Clamped grid move (off-grid moves keep the agent in place); entering a
+    cliff cell teleports to the start."""
     row, col = divmod(state, CLIFF_WIDTH)
-    if direction == 0:
-        col = max(col - 1, 0)
-    elif direction == 1:
-        col = min(col + 1, CLIFF_WIDTH - 1)
-    elif direction == 2:
-        row = max(row - 1, 0)
-    else:
-        row = min(row + 1, CLIFF_HEIGHT - 1)
-    return row * CLIFF_WIDTH + col
+    d_row, d_col = ((0, -1), (0, 1), (-1, 0), (1, 0))[direction]
+    dest = (min(max(row + d_row, 0), CLIFF_HEIGHT - 1) * CLIFF_WIDTH
+            + min(max(col + d_col, 0), CLIFF_WIDTH - 1))
+    return (CLIFF_START, CLIFF_REWARD) if dest in CLIFF_CELLS else (dest, STEP_REWARD)
 
 
 def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig(),
@@ -116,32 +138,9 @@ def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig(),
     cell pays mean reward -100 and teleports to the start; every other move
     pays mean -1. The goal at bottom-right is absorbing and pays nothing.
     """
-    n, n_actions = CLIFF_N_STATES, 4
-    t = np.zeros((n_actions, n, n))
-    r_mean = np.zeros((n, n_actions))
-    r_std = np.full((n, n_actions), noise.reward_std)
-
-    for a in range(n_actions):
-        weights = np.full(n_actions, noise.slip_prob / n_actions)
-        weights[a] += 1.0 - noise.slip_prob
-        for s in range(n):
-            if s == CLIFF_GOAL:
-                t[a, s, s] = 1.0
-                r_std[s, a] = 0.0
-                continue
-            for d in range(n_actions):
-                dest = _cliff_destination(s, d)
-                if dest in CLIFF_CELLS:
-                    t[a, s, CLIFF_START] += weights[d]
-                    r_mean[s, a] += weights[d] * CLIFF_REWARD
-                else:
-                    t[a, s, dest] += weights[d]
-                    r_mean[s, a] += weights[d] * STEP_REWARD
-
-    start = np.zeros(n)
+    start = np.zeros(CLIFF_N_STATES)
     start[CLIFF_START] = 1.0
-    return TabularMdp(t, r_mean, r_std, gamma, start, absorbing={CLIFF_GOAL},
-                      name="cliff_walk")
+    return _slip_grid(noise, 4, _cliff_move, start, {CLIFF_GOAL}, gamma, "cliff_walk")
 
 
 def cliff_near_goal_states(radius: int = 2) -> tuple[int, ...]:
@@ -164,39 +163,18 @@ def build_two_goals(noise: GridNoiseConfig = GridNoiseConfig(),
     Actions are left/right/up; "up" keeps the agent in place. Both goal
     states are absorbing. All rewards are paid on arrival.
     """
-    n, n_actions = TWO_GOALS_N_STATES, 3
+    n = TWO_GOALS_N_STATES
     arrival = np.zeros(n)
     arrival[0] = TWO_GOALS_SMALL
     arrival[n - 1] = TWO_GOALS_LARGE
-    absorbing = {0, n - 1}
 
-    def destination(state: int, direction: int) -> int:
-        if direction == 0:
-            return max(state - 1, 0)
-        if direction == 1:
-            return min(state + 1, n - 1)
-        return state
-
-    t = np.zeros((n_actions, n, n))
-    r_mean = np.zeros((n, n_actions))
-    r_std = np.full((n, n_actions), noise.reward_std)
-    for a in range(n_actions):
-        weights = np.full(n_actions, noise.slip_prob / n_actions)
-        weights[a] += 1.0 - noise.slip_prob
-        for s in range(n):
-            if s in absorbing:
-                t[a, s, s] = 1.0
-                r_std[s, a] = 0.0
-                continue
-            for d in range(n_actions):
-                dest = destination(s, d)
-                t[a, s, dest] += weights[d]
-                r_mean[s, a] += weights[d] * arrival[dest]
+    def move(state: int, direction: int) -> tuple[int, float]:
+        dest = min(max(state + (-1, 1, 0)[direction], 0), n - 1)
+        return dest, arrival[dest]
 
     start = np.zeros(n)
     start[1:n - 1] = 1.0 / (n - 2)
-    return TabularMdp(t, r_mean, r_std, gamma, start, absorbing=absorbing,
-                      name="two_goals")
+    return _slip_grid(noise, 3, move, start, {0, n - 1}, gamma, "two_goals")
 
 
 def build_interconnected_grid(topology: TopologyConfig = DEFAULT_GRID_TOPOLOGY,
@@ -250,8 +228,34 @@ def save_mdp_spec(mdp: TabularMdp, path) -> None:
         fh.write("\n")
 
 
+def read_json_object(path, error) -> dict:
+    """The JSON object in the UTF-8 file ``path``; other content raises
+    ``error([message])``. OSError (a missing file) propagates."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise error([f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"]) from None
+    except json.JSONDecodeError as exc:
+        raise error([f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})"]) from None
+    if not isinstance(doc, dict):
+        raise error([f"{path}: top level must be a JSON object"])
+    return doc
+
+
+def is_json_int(value) -> bool:
+    """A JSON integer; ``type`` keeps JSON booleans out."""
+    return type(value) is int
+
+
+def is_json_number(value) -> bool:
+    """A JSON int or float that converts to a finite float."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+
+
 def _is_number_table(value) -> bool:
-    """A JSON number or a list of such tables (a bool or a string is no number)."""
+    """A JSON int or float, NaN and infinities included (validate_mdp locates
+    them), or a list of such tables (a bool or a string is no number)."""
     return type(value) in (int, float) or (type(value) is list
                                            and all(map(_is_number_table, value)))
 
@@ -262,28 +266,21 @@ def load_mdp_spec(path) -> TabularMdp:
     Raises MdpSpecError listing every schema problem (a wrong type or table
     shape) and MdpValidationError listing all violated invariants.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise MdpSpecError(f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})")
-    if not isinstance(doc, dict):
-        raise MdpSpecError(f"{path}: top level must be a JSON object")
+    doc = read_json_object(path, MdpSpecError)
     missing = [f for f in _SPEC_FIELDS if f not in doc]
     if missing:
         raise MdpSpecError(f"{path}: missing field(s): {', '.join(missing)}")
 
-    # `type(x) is int` keeps JSON booleans out; `not 0 <= x < 1` catches NaN
     n, n_actions, gamma, absorbing = (doc[f] for f in ("n_states", "n_actions", "gamma",
                                                         "absorbing"))
     problems = [f"{path}: field '{f}' must be a positive integer, got {doc[f]!r}"
-                for f in ("n_states", "n_actions") if type(doc[f]) is not int or doc[f] < 1]
+                for f in ("n_states", "n_actions") if not is_json_int(doc[f]) or doc[f] < 1]
     sized = not problems  # table shapes are checked only against valid sizes
     if type(doc["name"]) is not str:
         problems.append(f"{path}: field 'name' must be a string, got {doc['name']!r}")
-    if type(gamma) not in (int, float) or not 0 <= gamma < 1:
+    if not is_json_number(gamma) or not 0 <= gamma < 1:
         problems.append(f"{path}: field 'gamma' must be a number in [0, 1), got {gamma!r}")
-    if type(absorbing) is not list or any(type(s) is not int for s in absorbing):
+    if type(absorbing) is not list or not all(map(is_json_int, absorbing)):
         problems.append(f"{path}: field 'absorbing' must be a list of integer states,"
                         f" got {absorbing!r}")
     tables = {}

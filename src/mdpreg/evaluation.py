@@ -1,4 +1,4 @@
-"""The two experiment metrics: policy loss and transition-matrix MSE."""
+"""The transition-matrix MSE metric; the harness computes the policy loss."""
 
 from __future__ import annotations
 
@@ -6,37 +6,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import TabularMdp
-from .planning import PlanningProblem, policy_evaluation
 from .regularizers import RegularizedModel
-
-
-@dataclass(frozen=True)
-class LossResult:
-    loss: float
-    v_opt: np.ndarray
-    v_reg: np.ndarray
 
 
 @dataclass(frozen=True)
 class MseResult:
     mse_plain: float
     mse_absorbing: float
-
-
-def policy_loss(true_mdp: TabularMdp, pi_reg: np.ndarray, pi_opt: np.ndarray,
-                start_dist: np.ndarray, v_opt: np.ndarray | None = None) -> LossResult:
-    """Start-weighted value gap between two policies, both evaluated in the true MDP.
-
-    ``v_opt`` may be passed in when the optimal policy's values were already
-    computed (they are constant across replications and strengths).
-    """
-    problem = PlanningProblem.from_mdp(true_mdp)
-    if v_opt is None:
-        v_opt = policy_evaluation(problem, pi_opt)
-    v_reg = policy_evaluation(problem, pi_reg)
-    loss = float(np.dot(start_dist, v_opt - v_reg))
-    return LossResult(loss, v_opt, v_reg)
 
 
 def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import sys
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -22,7 +21,8 @@ import numpy as np
 
 from .data import CollectionConfig, StartMode, generate_dataset
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
-                           build_two_goals, cliff_near_goal_states, load_mdp_spec)
+                           build_two_goals, cliff_near_goal_states, is_json_int,
+                           is_json_number, load_mdp_spec, read_json_object)
 from .estimation import count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp
@@ -39,7 +39,8 @@ DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 50
 # the dense example limited-start variant needs an explicit list of 5 states
 GRID_LIMITED_STARTS = (0, 2, 4, 6, 8)
 
-BUILTIN_MDPS = ("cliff", "two_goals", "grid")
+BUILTIN_MDPS = {"cliff": build_cliff_walk, "two_goals": build_two_goals,
+                "grid": build_interconnected_grid}
 
 CSV_HEADER = ("method,strength,mean_loss,stderr_loss,mean_mse_plain,"
               "mean_mse_absorbing,replications,config_hash")
@@ -124,17 +125,12 @@ def validate_experiment_config(cfg: ExperimentConfig) -> list[str]:
 
 def resolve_mdp(cfg: ExperimentConfig) -> TabularMdp:
     """Build a builtin MDP or load a spec file, applying any gamma override."""
-    if cfg.mdp == "cliff":
-        mdp = build_cliff_walk()
-    elif cfg.mdp == "two_goals":
-        mdp = build_two_goals()
-    elif cfg.mdp == "grid":
-        mdp = build_interconnected_grid()
-    else:
-        mdp = load_mdp_spec(cfg.mdp)
-    if cfg.gamma is not None:
-        mdp = mdp.with_gamma(cfg.gamma)
-    return mdp
+    try:
+        mdp = BUILTIN_MDPS[cfg.mdp]() if cfg.mdp in BUILTIN_MDPS else load_mdp_spec(cfg.mdp)
+    except FileNotFoundError:
+        raise ConfigError([f"mdp {cfg.mdp!r} is neither a builtin MDP"
+                           f" ({', '.join(BUILTIN_MDPS)}) nor an existing file"]) from None
+    return mdp if cfg.gamma is None else replace(mdp, gamma=cfg.gamma)
 
 
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
@@ -363,15 +359,6 @@ def emit_summary(rows: list[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A JSON int or float that converts to a finite float."""
-    return (_is_int(value) or isinstance(value, float)) and abs(value) <= sys.float_info.max
-
-
 def _start_mode_args(value) -> tuple[str, tuple[int, ...]] | None:
     """The StartMode (kind, states) a JSON value spells, or None; StartMode
     itself then checks the states (duplicates) in the range-problem pass."""
@@ -379,13 +366,13 @@ def _start_mode_args(value) -> tuple[str, tuple[int, ...]] | None:
         return "uniform", ()
     if isinstance(value, dict) and list(value) in (["fixed"], ["set"]):
         states = value.get("set", [value.get("fixed")])
-        if isinstance(states, list) and states and all(map(_is_int, states)):
+        if isinstance(states, list) and states and all(map(is_json_int, states)):
             return next(iter(value)), tuple(states)
     return None
 
 
-_INTEGER = (_is_int, "an integer")
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+_INTEGER = (is_json_int, "an integer")
+_NUMBERS = (lambda v: isinstance(v, list) and all(map(is_json_number, v)),
             "a list of finite numbers")
 # JSON field -> (type check, expected type); collection fields are prefixed
 _FIELD_TYPES = {
@@ -394,11 +381,11 @@ _FIELD_TYPES = {
                 "a list of strings"),
     "eps_grid": _NUMBERS, "magnitude_grid": _NUMBERS,
     "replications": _INTEGER, "master_seed": _INTEGER, "workers": _INTEGER,
-    "gamma": (lambda v: v is None or _is_number(v), "a finite number or null"),
+    "gamma": (lambda v: v is None or is_json_number(v), "a finite number or null"),
     "out": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "collection": (lambda v: isinstance(v, dict), "a JSON object"),
     "collection.n_trajectories": _INTEGER, "collection.trajectory_length": _INTEGER,
-    "collection.p_optimal": (_is_number, "a finite number"),
+    "collection.p_optimal": (is_json_number, "a finite number"),
     "collection.start_mode": (lambda v: _start_mode_args(v) is not None,
                               '"uniform", {"fixed": s} or {"set": [s, ...]}'),
 }
@@ -418,13 +405,7 @@ def _field_problems(doc: dict, where: str, required: tuple[str, ...]) -> list[st
 def load_experiment_config(path) -> ExperimentConfig:
     """Parse a JSON experiment config (field names mirror ExperimentConfig),
     reporting all wrongly typed fields together, then all out-of-range values."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError([f"{path}: not valid JSON (line {exc.lineno}: {exc.msg})"])
-    if not isinstance(doc, dict):
-        raise ConfigError([f"{path}: top level must be a JSON object"])
+    doc = read_json_object(path, ConfigError)
     problems = _field_problems(doc, "", ("mdp", "collection"))
     coll = doc.get("collection")
     if isinstance(coll, dict):
@@ -456,13 +437,6 @@ def load_experiment_config(path) -> ExperimentConfig:
 
 def override(cfg: ExperimentConfig, *, master_seed=None, replications=None,
              out=None, workers=None) -> ExperimentConfig:
-    """Apply CLI-level overrides to a loaded or preset config."""
-    if master_seed is not None:
-        cfg = replace(cfg, master_seed=master_seed)
-    if replications is not None:
-        cfg = replace(cfg, replications=replications)
-    if out is not None:
-        cfg = replace(cfg, out=out)
-    if workers is not None:
-        cfg = replace(cfg, workers=workers)
-    return cfg
+    """Apply the CLI-level overrides that are not None to a loaded or preset config."""
+    given = dict(master_seed=master_seed, replications=replications, out=out, workers=workers)
+    return replace(cfg, **{k: v for k, v in given.items() if v is not None})

@@ -63,9 +63,6 @@ class TabularMdp:
     def n_actions(self) -> int:
         return self.transition.shape[0]
 
-    def with_gamma(self, gamma: float) -> "TabularMdp":
-        return replace(self, gamma=gamma)
-
 
 def validate_mdp(mdp: TabularMdp) -> list[str]:
     """Check every structural invariant, returning one message per violation.

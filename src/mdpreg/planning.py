@@ -59,7 +59,7 @@ class PlanningProblem:
 
     @classmethod
     def from_regularized(cls, reg: RegularizedModel) -> "PlanningProblem":
-        return cls(reg.t_reg, reg.r_hat, reg.effective_gamma)
+        return cls(reg.t_reg, reg.r_hat, reg.gamma)
 
 
 def policy_evaluation(problem: PlanningProblem, policy: np.ndarray) -> np.ndarray:

@@ -8,7 +8,9 @@ CLI `check` verb and the pytest acceptance module both run these.
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import os
 import tempfile
 import time
@@ -23,8 +25,7 @@ from .harness import (DEFAULT_SEED, builtin_presets, emit_csv, override,
 from .mdp import TIE_TOL, TabularMdp, apply_reward_shift
 from .planning import (PlanningProblem, policy_evaluation, policy_iteration,
                        q_gaps, uniform_blend_equivalence)
-from .regularizers import (dirichlet_posterior_mean, discount_blend,
-                           eps_greedy_blend, implied_prior_magnitude,
+from .regularizers import (dirichlet_posterior_mean, implied_prior_magnitude, regularize,
                            uniform_prior)
 
 
@@ -83,230 +84,218 @@ def eps_greedy_evaluation(t: np.ndarray, r: np.ndarray, gamma: float,
     return np.linalg.solve(np.eye(n) - gamma * t_exec, r_exec)
 
 
-def _timed(fn):
-    start = time.perf_counter()
-    passed, detail = fn()
-    return passed, detail, time.perf_counter() - start
+def _check(name: str, limit_s: float = math.inf):
+    """Make a check body returning (passed, detail) return a timed
+    CheckResult ``name``, failed also if it takes ``limit_s`` seconds or more."""
+    def decorate(body):
+        @functools.wraps(body)
+        def check(*args, **kwargs) -> CheckResult:
+            start = time.perf_counter()
+            passed, detail = body(*args, **kwargs)
+            secs = time.perf_counter() - start
+            return CheckResult(name, passed and secs < limit_s, detail, secs)
+        return check
+    return decorate
 
 
-def check_uniform_blend(n_mdps: int = 200, seed: int = 20_001) -> CheckResult:
+@_check("uniform_blend_equivalence", limit_s=30.0)
+def check_uniform_blend(n_mdps: int = 200, seed: int = 20_001):
     """Lowered discount vs uniform blend share an optimal policy."""
-    def body():
-        rng = np.random.default_rng(seed)
-        eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
-        failures = 0
-        total = 0
-        for _ in range(n_mdps):
-            mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-            for eps in eps_values:
-                total += 1
-                if not uniform_blend_equivalence(mdp, eps).agree:
-                    failures += 1
-        return failures == 0, f"{total - failures}/{total} agreements"
-    passed, detail, secs = _timed(body)
-    return CheckResult("uniform_blend_equivalence", passed and secs < 30.0, detail, secs)
+    rng = np.random.default_rng(seed)
+    eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
+    failures = 0
+    total = 0
+    for _ in range(n_mdps):
+        mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
+        for eps in eps_values:
+            total += 1
+            if not uniform_blend_equivalence(mdp, eps).agree:
+                failures += 1
+    return failures == 0, f"{total - failures}/{total} agreements"
 
 
-def check_discount_equiv(n_mdps: int = 200, seed: int = 20_002) -> CheckResult:
+@_check("discount_blend_equals_lowered_gamma", limit_s=30.0)
+def check_discount_equiv(n_mdps: int = 200, seed: int = 20_002):
     """Discount blend at gamma plans identically to the MLE at lowered gamma."""
-    def body():
-        rng = np.random.default_rng(seed)
-        eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
-        failures, total = 0, 0
-        for _ in range(n_mdps):
-            mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-            est = _estimated_from_mdp(mdp)
-            for eps in eps_values:
-                total += 1
-                reg = discount_blend(est, eps, mdp.gamma)
-                pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg))
-                lowered = PlanningProblem(est.t_hat, est.r_hat, (1.0 - eps) * mdp.gamma)
-                pi_b, q_b = policy_iteration(lowered)
-                if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
-                    failures += 1
-        return failures == 0, f"{total - failures}/{total} policy matches"
-    passed, detail, secs = _timed(body)
-    return CheckResult("discount_blend_equals_lowered_gamma", passed and secs < 30.0,
-                       detail, secs)
-
-
-def check_dirichlet_matrix_form(n_instances: int = 20, seed: int = 20_003) -> CheckResult:
-    """Under uniform visits the posterior mean is the exact matrix blend."""
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_instances):
-            n = int(rng.integers(2, 8))
-            a = int(rng.integers(1, 4))
-            total = int(rng.integers(5, 50))
-            counts = random_uniform_visit_counts(rng, n, a, total)
-            t_mle = mle_model(counts).t_hat
-            for m in (1.0, 10.0, 100.0):
-                reg = dirichlet_posterior_mean(counts, uniform_prior(m, n, a), 0.95)
-                eps = m / (total + m)
-                blend = (1.0 - eps) * t_mle + eps / n
-                worst = max(worst, float(np.abs(reg.t_reg - blend).max()))
-        return worst <= 1e-12, f"max entrywise deviation {worst:.2e}"
-    passed, detail, secs = _timed(body)
-    return CheckResult("dirichlet_matrix_form", passed, detail, secs)
-
-
-def check_implied_prior_equiv(n_instances: int = 100, seed: int = 20_004) -> CheckResult:
-    """Discount blend and its implied uniform Dirichlet prior plan identically."""
-    def body():
-        rng = np.random.default_rng(seed)
-        gamma = 0.95
-        failures = 0
-        for _ in range(n_instances):
-            n = int(rng.integers(2, 7))
-            a = int(rng.integers(2, 4))
-            total = int(rng.integers(5, 40))
-            counts = random_uniform_visit_counts(rng, n, a, total)
-            est = mle_model(counts)
-            eps = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
-            gamma_l = (1.0 - eps) * gamma
-            alpha_i = implied_prior_magnitude(gamma, gamma_l, total, n)
-            reg_disc = discount_blend(est, eps, gamma)
-            reg_dir = dirichlet_posterior_mean(counts, uniform_prior(n * alpha_i, n, a),
-                                               gamma)
-            pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg_disc))
-            pi_b, q_b = policy_iteration(PlanningProblem.from_regularized(reg_dir))
+    rng = np.random.default_rng(seed)
+    eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
+    failures, total = 0, 0
+    for _ in range(n_mdps):
+        mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
+        est = _estimated_from_mdp(mdp)
+        for eps in eps_values:
+            total += 1
+            reg = regularize(est, None, "discount", eps, mdp.gamma)
+            pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg))
+            lowered = PlanningProblem(est.t_hat, est.r_hat, (1.0 - eps) * mdp.gamma)
+            pi_b, q_b = policy_iteration(lowered)
             if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
                 failures += 1
-        return failures == 0, f"{n_instances - failures}/{n_instances} policy matches"
-    passed, detail, secs = _timed(body)
-    return CheckResult("implied_prior_equivalence", passed, detail, secs)
+    return failures == 0, f"{total - failures}/{total} policy matches"
 
 
-def check_eps_greedy_equiv(n_mdps: int = 100, seed: int = 20_005) -> CheckResult:
+@_check("dirichlet_matrix_form")
+def check_dirichlet_matrix_form(n_instances: int = 20, seed: int = 20_003):
+    """Under uniform visits the posterior mean is the exact matrix blend."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_instances):
+        n = int(rng.integers(2, 8))
+        a = int(rng.integers(1, 4))
+        total = int(rng.integers(5, 50))
+        counts = random_uniform_visit_counts(rng, n, a, total)
+        t_mle = mle_model(counts).t_hat
+        for m in (1.0, 10.0, 100.0):
+            reg = dirichlet_posterior_mean(counts, uniform_prior(m, n, a), 0.95)
+            eps = m / (total + m)
+            blend = (1.0 - eps) * t_mle + eps / n
+            worst = max(worst, float(np.abs(reg.t_reg - blend).max()))
+    return worst <= 1e-12, f"max entrywise deviation {worst:.2e}"
+
+
+@_check("implied_prior_equivalence")
+def check_implied_prior_equiv(n_instances: int = 100, seed: int = 20_004):
+    """Discount blend and its implied uniform Dirichlet prior plan identically."""
+    rng = np.random.default_rng(seed)
+    gamma = 0.95
+    failures = 0
+    for _ in range(n_instances):
+        n = int(rng.integers(2, 7))
+        a = int(rng.integers(2, 4))
+        total = int(rng.integers(5, 40))
+        counts = random_uniform_visit_counts(rng, n, a, total)
+        est = mle_model(counts)
+        eps = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
+        gamma_l = (1.0 - eps) * gamma
+        alpha_i = implied_prior_magnitude(gamma, gamma_l, total, n)
+        reg_disc = regularize(est, None, "discount", eps, gamma)
+        reg_dir = dirichlet_posterior_mean(counts, uniform_prior(n * alpha_i, n, a),
+                                           gamma)
+        pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg_disc))
+        pi_b, q_b = policy_iteration(PlanningProblem.from_regularized(reg_dir))
+        if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
+            failures += 1
+    return failures == 0, f"{n_instances - failures}/{n_instances} policy matches"
+
+
+@_check("eps_greedy_planning_equivalence")
+def check_eps_greedy_equiv(n_mdps: int = 100, seed: int = 20_005):
     """Greedy planning on blended matrices is optimal over eps-greedy executions."""
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for _ in range(n_mdps):
-            n = int(rng.integers(2, 5))
-            mdp = random_mdp(rng, n, 2, state_rewards=True)
-            est = _estimated_from_mdp(mdp)
-            for eps in (0.25, 0.5):
-                reg = eps_greedy_blend(est, eps, mdp.gamma)
-                pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
-                v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
-                                              mdp.gamma, pi_hat, eps)
-                v_best = np.full(n, -np.inf)
-                for assignment in itertools.product(range(2), repeat=n):
-                    pi = np.array(assignment)
-                    v = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
-                                              mdp.gamma, pi, eps)
-                    v_best = np.maximum(v_best, v)
-                worst = max(worst, float(np.abs(v_hat - v_best).max()))
-        return worst <= 1e-9, f"max value gap to brute force {worst:.2e}"
-    passed, detail, secs = _timed(body)
-    return CheckResult("eps_greedy_planning_equivalence", passed, detail, secs)
-
-
-def check_reward_shift(n_mdps: int = 100, seed: int = 20_006) -> CheckResult:
-    """Adding x to all rewards shifts Q by x/(1-gamma) and keeps the policy."""
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        failures = 0
-        for _ in range(n_mdps):
-            mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-            pi0, q0 = policy_iteration(PlanningProblem.from_mdp(mdp))
-            for x in (-5.0, 1.0, 100.0):
-                shifted = apply_reward_shift(mdp, x)
-                pi_x, q_x = policy_iteration(PlanningProblem.from_mdp(shifted))
-                worst = max(worst, float(np.abs(q_x - q0 - x / (1.0 - mdp.gamma)).max()))
-                if not _policies_agree_tie_free(pi0, q0, pi_x, q_x):
-                    failures += 1
-        ok = worst <= 1e-9 and failures == 0
-        return ok, f"max Q-shift error {worst:.2e}, {failures} policy changes"
-    passed, detail, secs = _timed(body)
-    return CheckResult("reward_shift_invariance", passed, detail, secs)
-
-
-def check_pi_oracle(n_problems: int = 500, seed: int = 20_007) -> CheckResult:
-    """Policy iteration matches exhaustive policy enumeration."""
-    def body():
-        rng = np.random.default_rng(seed)
-        worst = 0.0
-        for i in range(n_problems):
-            n = 2 if i % 2 == 0 else 3
-            mdp = random_mdp(rng, n, 2)
-            problem = PlanningProblem.from_mdp(mdp)
-            pi, _ = policy_iteration(problem)
-            v_pi = policy_evaluation(problem, pi)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(n_mdps):
+        n = int(rng.integers(2, 5))
+        mdp = random_mdp(rng, n, 2, state_rewards=True)
+        est = _estimated_from_mdp(mdp)
+        for eps in (0.25, 0.5):
+            reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
+            pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
+            v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
+                                          mdp.gamma, pi_hat, eps)
             v_best = np.full(n, -np.inf)
             for assignment in itertools.product(range(2), repeat=n):
-                v = policy_evaluation(problem, np.array(assignment))
+                pi = np.array(assignment)
+                v = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
+                                          mdp.gamma, pi, eps)
                 v_best = np.maximum(v_best, v)
-            worst = max(worst, float(np.abs(v_pi - v_best).max()))
-        return worst <= 1e-9, f"max value gap to enumeration {worst:.2e}"
-    passed, detail, secs = _timed(body)
-    return CheckResult("policy_iteration_oracle", passed, detail, secs)
+            worst = max(worst, float(np.abs(v_hat - v_best).max()))
+    return worst <= 1e-9, f"max value gap to brute force {worst:.2e}"
+
+
+@_check("reward_shift_invariance")
+def check_reward_shift(n_mdps: int = 100, seed: int = 20_006):
+    """Adding x to all rewards shifts Q by x/(1-gamma) and keeps the policy."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    failures = 0
+    for _ in range(n_mdps):
+        mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
+        pi0, q0 = policy_iteration(PlanningProblem.from_mdp(mdp))
+        for x in (-5.0, 1.0, 100.0):
+            shifted = apply_reward_shift(mdp, x)
+            pi_x, q_x = policy_iteration(PlanningProblem.from_mdp(shifted))
+            worst = max(worst, float(np.abs(q_x - q0 - x / (1.0 - mdp.gamma)).max()))
+            if not _policies_agree_tie_free(pi0, q0, pi_x, q_x):
+                failures += 1
+    ok = worst <= 1e-9 and failures == 0
+    return ok, f"max Q-shift error {worst:.2e}, {failures} policy changes"
+
+
+@_check("policy_iteration_oracle")
+def check_pi_oracle(n_problems: int = 500, seed: int = 20_007):
+    """Policy iteration matches exhaustive policy enumeration."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for i in range(n_problems):
+        n = 2 if i % 2 == 0 else 3
+        mdp = random_mdp(rng, n, 2)
+        problem = PlanningProblem.from_mdp(mdp)
+        pi, _ = policy_iteration(problem)
+        v_pi = policy_evaluation(problem, pi)
+        v_best = np.full(n, -np.inf)
+        for assignment in itertools.product(range(2), repeat=n):
+            v = policy_evaluation(problem, np.array(assignment))
+            v_best = np.maximum(v_best, v)
+        worst = max(worst, float(np.abs(v_pi - v_best).max()))
+    return worst <= 1e-9, f"max value gap to enumeration {worst:.2e}"
 
 
 def default_workers() -> int:
     return max(1, min(8, os.cpu_count() or 1))
 
 
+@_check("qualitative_loss_curves", limit_s=600.0)
 def check_loss_curves(replications: int = 1000, workers: int | None = None,
-                      seed: int = DEFAULT_SEED) -> CheckResult:
+                      seed: int = DEFAULT_SEED):
     """Regularization never hurts at the curve minimum; on the cliff the
     stochastic-policy blend beats no regularization by >= 3 standard errors."""
     workers = workers or default_workers()
-
-    def body():
-        presets = builtin_presets()
-        problems = []
-        details = []
-        for name in ("cliff-random", "twogoals-random", "grid-random"):
-            cfg = override(presets[name], replications=replications,
-                           master_seed=seed, workers=workers)
-            rows = run_experiment(cfg)
-            by_method: dict[str, list] = {}
-            for row in rows:
-                by_method.setdefault(row.method, []).append(row)
-            for method, mrows in by_method.items():
-                at_zero = next(r for r in mrows if r.strength == 0.0)
-                best = min(mrows, key=lambda r: r.mean_loss)
-                if best.mean_loss > at_zero.mean_loss + 1e-12:
-                    problems.append(f"{name}/{method}: min loss {best.mean_loss:.4g}"
-                                    f" above strength-0 loss {at_zero.mean_loss:.4g}")
-                if name == "cliff-random" and method == "eps_greedy":
-                    margin = at_zero.mean_loss - best.mean_loss
-                    se = float(np.hypot(at_zero.stderr_loss, best.stderr_loss))
-                    details.append(f"cliff eps_greedy improvement {margin:.3g}"
-                                   f" ({margin / se if se else float('inf'):.1f} se)")
-                    if margin < 3.0 * se:
-                        problems.append(
-                            f"cliff-random/eps_greedy: improvement {margin:.4g}"
-                            f" below 3 x stderr {se:.4g}")
-        detail = "; ".join(details + problems) or "all curves within bounds"
-        return not problems, detail
-    passed, detail, secs = _timed(body)
-    return CheckResult("qualitative_loss_curves", passed and secs < 600.0, detail, secs)
+    presets = builtin_presets()
+    problems = []
+    details = []
+    for name in ("cliff-random", "twogoals-random", "grid-random"):
+        cfg = override(presets[name], replications=replications,
+                       master_seed=seed, workers=workers)
+        rows = run_experiment(cfg)
+        by_method: dict[str, list] = {}
+        for row in rows:
+            by_method.setdefault(row.method, []).append(row)
+        for method, mrows in by_method.items():
+            at_zero = next(r for r in mrows if r.strength == 0.0)
+            best = min(mrows, key=lambda r: r.mean_loss)
+            if best.mean_loss > at_zero.mean_loss + 1e-12:
+                problems.append(f"{name}/{method}: min loss {best.mean_loss:.4g}"
+                                f" above strength-0 loss {at_zero.mean_loss:.4g}")
+            if name == "cliff-random" and method == "eps_greedy":
+                margin = at_zero.mean_loss - best.mean_loss
+                se = float(np.hypot(at_zero.stderr_loss, best.stderr_loss))
+                details.append(f"cliff eps_greedy improvement {margin:.3g}"
+                               f" ({margin / se if se else float('inf'):.1f} se)")
+                if margin < 3.0 * se:
+                    problems.append(
+                        f"cliff-random/eps_greedy: improvement {margin:.4g}"
+                        f" below 3 x stderr {se:.4g}")
+    detail = "; ".join(details + problems) or "all curves within bounds"
+    return not problems, detail
 
 
+@_check("determinism")
 def check_determinism(replications: int = 24, workers: int = 8,
-                      seed: int = DEFAULT_SEED) -> CheckResult:
+                      seed: int = DEFAULT_SEED):
     """Byte-identical CSV on rerun; aggregates independent of worker count."""
-    def body():
-        cfg = override(builtin_presets()["cliff-random"], replications=replications,
-                       master_seed=seed, workers=1)
-        with tempfile.TemporaryDirectory() as tmp:
-            p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-            emit_csv(run_experiment(cfg), p1)
-            emit_csv(run_experiment(cfg), p2)
-            if p1.read_bytes() != p2.read_bytes():
-                return False, "rerun produced different CSV bytes"
-        rows_serial = run_experiment(cfg)
-        rows_parallel = run_experiment(override(cfg, workers=workers))
-        if rows_serial != rows_parallel:
-            return False, f"workers=1 and workers={workers} aggregates differ"
-        return True, "byte-identical reruns; worker count irrelevant"
-    passed, detail, secs = _timed(body)
-    return CheckResult("determinism", passed, detail, secs)
+    cfg = override(builtin_presets()["cliff-random"], replications=replications,
+                   master_seed=seed, workers=1)
+    with tempfile.TemporaryDirectory() as tmp:
+        p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
+        emit_csv(run_experiment(cfg), p1)
+        emit_csv(run_experiment(cfg), p2)
+        if p1.read_bytes() != p2.read_bytes():
+            return False, "rerun produced different CSV bytes"
+    rows_serial = run_experiment(cfg)
+    rows_parallel = run_experiment(override(cfg, workers=workers))
+    if rows_serial != rows_parallel:
+        return False, f"workers=1 and workers={workers} aggregates differ"
+    return True, "byte-identical reruns; worker count irrelevant"
 
 
 def run_acceptance(quick: bool = False, workers: int | None = None) -> list[CheckResult]:

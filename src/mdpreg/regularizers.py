@@ -39,19 +39,18 @@ class DirichletPrior:
 class RegularizedModel:
     """Blended per-action matrices plus the blend metadata.
 
-    ``eps_per_pair`` is the realized blend weight of each state-action pair;
-    ``gamma_l`` the equivalent lowered discount of a single discount cell. A
-    batch of cells (see ``regularize``) has tuples for ``method`` and
-    ``strength`` and a leading cell axis on ``t_reg`` and ``eps_per_pair``.
+    ``eps_per_pair`` is the realized blend weight of each state-action pair
+    and ``gamma`` the true discount every method plans with. A batch of cells
+    (see ``regularize``) has tuples for ``method`` and ``strength`` and a
+    leading cell axis on ``t_reg`` and ``eps_per_pair``.
     """
 
     t_reg: np.ndarray   # (n_actions, n_states, n_states), or (cells, ...) for a batch
     r_hat: np.ndarray   # (n_states, n_actions)
     method: str | tuple[str, ...]
     strength: float | tuple[float, ...]
-    effective_gamma: float
+    gamma: float
     eps_per_pair: np.ndarray | None = None  # (n_states, n_actions), or (cells, ...)
-    gamma_l: float | None = None
 
 
 def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.ndarray:
@@ -99,16 +98,6 @@ def _posterior_terms(counts: CountsTensor, alpha_sums, alpha: np.ndarray | None 
     return np.moveaxis(prior_mean, 1, 0), eps
 
 
-def discount_blend(model: EstimatedModel, eps: float, gamma: float) -> RegularizedModel:
-    """Blend each matrix with zeros: rows sum to 1 - eps, planned with true gamma."""
-    return regularize(model, None, "discount", eps, gamma)
-
-
-def eps_greedy_blend(model: EstimatedModel, eps: float, gamma: float) -> RegularizedModel:
-    """Blend each matrix with the average over all actions' matrices."""
-    return regularize(model, None, "eps_greedy", eps, gamma)
-
-
 def _blend_terms(model: EstimatedModel, counts: CountsTensor | None, method: str,
                  strength: float):
     """One cell's T_other, a scalar or (n_states, n_states) shared by every
@@ -146,9 +135,8 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
               out=t_reg[i])
     if not single:
         return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma, eps_per_pair)
-    gamma_l = (1.0 - strength) * gamma if method == "discount" else None
     return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma,
-                            eps_per_pair[0], gamma_l)
+                            eps_per_pair[0])
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

@@ -1,9 +1,11 @@
+import inspect
 import json
 
 import pytest
 
 from mdpreg import build_two_goals, save_mdp_spec
 from mdpreg.cli import main
+from mdpreg import properties
 from mdpreg.properties import CheckResult
 
 
@@ -90,6 +92,18 @@ def test_check_verb_reports_and_sets_exit_code(monkeypatch, capsys):
 
     monkeypatch.setattr("mdpreg.cli.run_acceptance", lambda **kw: fake[:1])
     assert main(["check"]) == 0
+
+
+def test_check_decorator_times_names_and_bounds():
+    @properties._check("named", limit_s=0.0)
+    def body(size: int = 3):
+        return size == 3, f"size {size}"
+
+    assert list(inspect.signature(body).parameters) == ["size"]
+    result = body()
+    assert (result.name, result.passed, result.detail) == ("named", False, "size 3")
+    assert result.seconds >= 0.0
+    assert properties._check("unbounded")(body.__wrapped__)().passed
 
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
@@ -195,3 +209,33 @@ def test_run_rejects_bad_start_states(tmp_path, capsys, monkeypatch, start_mode,
     assert len(lines) == len(needles) and "mean_loss" not in captured.out
     for line, needle in zip(lines, needles):
         assert line.startswith("error: ") and needle in line
+
+
+NOT_UTF8 = b"\xff\xfe{\x00}\x00"  # a UTF-16 byte-order mark and "{}"
+
+
+def _config(tmp_path, mdp):
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps({"mdp": mdp, "replications": 1, "methods": ["none"],
+                                "collection": {"n_trajectories": 2, "trajectory_length": 3}}))
+    return path
+
+
+@pytest.mark.parametrize("route", ["run-config", "mdp-validate", "config-mdp-spec"])
+def test_non_utf8_file_is_one_error_line(tmp_path, capsys, route):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(NOT_UTF8)
+    argv = {"run-config": ["run", "--config", str(bad)],
+            "mdp-validate": ["mdp", "validate", str(bad)],
+            "config-mdp-spec": ["run", "--config", str(_config(tmp_path, str(bad)))]}[route]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 0)\n"
+    assert "mean_loss" not in captured.out
+
+
+def test_misspelled_builtin_mdp_lists_the_builtins(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # no file named "clif" here
+    assert main(["run", "--config", str(_config(tmp_path, "clif"))]) == 2
+    assert capsys.readouterr().err == ("error: mdp 'clif' is neither a builtin MDP"
+                                       " (cliff, two_goals, grid) nor an existing file\n")

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from mdpreg import (PlanningProblem, RegularizedModel, dirichlet_posterior_mean,
-                    discount_blend, policy_iteration, policy_loss,
-                    transition_mse, uniform_prior)
+                    policy_evaluation, policy_iteration, regularize, transition_mse,
+                    uniform_prior)
 from mdpreg.estimation import EstimatedModel
 from mdpreg.properties import random_mdp, random_uniform_visit_counts
 from tests.test_mdp import make_two_state
@@ -15,39 +15,36 @@ def plain_model(t, method="eps_greedy", strength=0.0):
 
 
 class TestPolicyLoss:
+    """The policy loss, start_dist @ (v_opt - v_reg), from values evaluated in
+    the true MDP (the harness computes it this way)."""
+
     def test_identical_policies_lose_nothing(self):
         mdp = make_two_state()
+        problem = PlanningProblem.from_mdp(mdp)
         pi = np.array([1, 0])
-        result = policy_loss(mdp, pi, pi, mdp.start_dist)
-        assert result.loss == 0.0
+        v = policy_evaluation(problem, pi)
+        assert mdp.start_dist @ (v - policy_evaluation(problem, pi.copy())) == 0.0
 
     def test_hand_computed_value_gap(self):
         # optimal: switch at 0, stay at 1 -> V = (1, 2); staying at 0 earns 0,
         # so a point mass at state 0 loses exactly 1
-        mdp = make_two_state(gamma=0.5)
-        pi_opt = np.array([1, 0])
-        pi_reg = np.array([0, 0])
-        result = policy_loss(mdp, pi_reg, pi_opt, np.array([1.0, 0.0]))
-        np.testing.assert_allclose(result.v_opt, [1.0, 2.0], atol=1e-12)
-        np.testing.assert_allclose(result.v_reg, [0.0, 2.0], atol=1e-12)
-        assert result.loss == pytest.approx(1.0, abs=1e-12)
+        problem = PlanningProblem.from_mdp(make_two_state(gamma=0.5))
+        v_opt = policy_evaluation(problem, np.array([1, 0]))
+        v_reg = policy_evaluation(problem, np.array([0, 0]))
+        np.testing.assert_allclose(v_opt, [1.0, 2.0], atol=1e-12)
+        np.testing.assert_allclose(v_reg, [0.0, 2.0], atol=1e-12)
+        assert np.array([1.0, 0.0]) @ (v_opt - v_reg) == pytest.approx(1.0, abs=1e-12)
 
     def test_loss_nonnegative_against_true_optimum(self):
+        # the optimal values dominate every policy's values state by state
         rng = np.random.default_rng(23)
         for _ in range(20):
             mdp = random_mdp(rng, 5, 3)
-            pi_opt, _ = policy_iteration(PlanningProblem.from_mdp(mdp))
-            pi_reg = rng.integers(0, 3, 5)
-            result = policy_loss(mdp, pi_reg, pi_opt, mdp.start_dist)
-            assert result.loss >= -1e-9
-
-    def test_precomputed_v_opt_matches(self):
-        mdp = make_two_state()
-        pi_opt = np.array([1, 0])
-        pi_reg = np.array([0, 0])
-        base = policy_loss(mdp, pi_reg, pi_opt, mdp.start_dist)
-        fast = policy_loss(mdp, pi_reg, pi_opt, mdp.start_dist, v_opt=base.v_opt)
-        assert fast.loss == base.loss
+            problem = PlanningProblem.from_mdp(mdp)
+            v_opt = policy_evaluation(problem, policy_iteration(problem)[0])
+            v_reg = policy_evaluation(problem, rng.integers(0, 3, 5))
+            assert np.all(v_opt - v_reg >= -1e-9)
+            assert mdp.start_dist @ (v_opt - v_reg) >= -1e-9
 
 
 class TestTransitionMse:
@@ -70,7 +67,7 @@ class TestTransitionMse:
         t_true = np.array([[[1.0, 0.0], [0.3, 0.7]]])
         model = EstimatedModel(t_true.copy(), np.zeros((2, 1)),
                                np.ones((2, 1), dtype=np.int64))
-        reg = discount_blend(model, 1.0, 0.95)
+        reg = regularize(model, None, "discount", 1.0, 0.95)
         result = transition_mse(t_true, reg)
 
         aug_true = np.array([[1.0, 0.0, 0.0], [0.3, 0.7, 0.0], [0.0, 0.0, 1.0]])
@@ -84,7 +81,7 @@ class TestTransitionMse:
         t_true = rng.dirichlet(np.ones(3), size=(2, 3))
         model = EstimatedModel(np.array(t_true), np.zeros((3, 2)),
                                np.ones((3, 2), dtype=np.int64))
-        reg = discount_blend(model, 0.4, 0.95)
+        reg = regularize(model, None, "discount", 0.4, 0.95)
         result = transition_mse(t_true, reg)
         # (N+1)^2 denominator per action: recompute independently
         diff_core = (t_true - reg.t_reg) ** 2

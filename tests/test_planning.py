@@ -3,9 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
-from mdpreg import (GridNoiseConfig, PlanningProblem, build_two_goals,
-                    eps_greedy_blend, greedy_from_q, policy_evaluation,
-                    policy_iteration, q_from_values, q_gaps, uniform_blend_equivalence)
+from mdpreg import (GridNoiseConfig, PlanningProblem, build_two_goals, greedy_from_q,
+                    policy_evaluation, policy_iteration, q_from_values, q_gaps, regularize,
+                    uniform_blend_equivalence)
 from mdpreg.estimation import EstimatedModel
 from mdpreg.properties import eps_greedy_evaluation, random_mdp
 
@@ -184,7 +184,7 @@ class TestEpsGreedyPlanning:
             mdp = random_mdp(rng, n, 2, state_rewards=True)
             est = EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy(),
                                  np.ones((n, 2), dtype=np.int64))
-            reg = eps_greedy_blend(est, eps, mdp.gamma)
+            reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
             pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
             v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean, mdp.gamma,
                                           pi_hat, eps)

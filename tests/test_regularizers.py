@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from mdpreg import (CountsTensor, DirichletPrior, alpha_sum_from_eps,
-                    dirichlet_posterior_mean, discount_blend, eps_from_gammas,
-                    eps_from_prior, eps_greedy_blend, gamma_l_from_eps,
-                    implied_prior_magnitude, mle_model, regularize, uniform_prior)
+from mdpreg import (CountsTensor, DirichletPrior, PlanningProblem, alpha_sum_from_eps,
+                    dirichlet_posterior_mean, eps_from_gammas, eps_from_prior,
+                    gamma_l_from_eps, implied_prior_magnitude, mle_model, regularize,
+                    uniform_prior)
 from mdpreg.estimation import EstimatedModel
 from mdpreg.properties import random_uniform_visit_counts
 
@@ -101,52 +101,53 @@ class TestUniformPrior:
 class TestDiscountBlend:
     def test_zero_eps_is_identity(self):
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
-        reg = discount_blend(model, 0.0, GAMMA)
+        reg = regularize(model, None, "discount", 0.0, GAMMA)
         np.testing.assert_array_equal(reg.t_reg, model.t_hat)
-        assert reg.gamma_l == GAMMA
+        assert PlanningProblem.from_regularized(reg).gamma == GAMMA
 
     def test_full_blend_is_zero_matrix(self):
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
-        np.testing.assert_array_equal(discount_blend(model, 1.0, GAMMA).t_reg, 0.0)
+        reg = regularize(model, None, "discount", 1.0, GAMMA)
+        np.testing.assert_array_equal(reg.t_reg, 0.0)
 
     def test_quarter_blend_scales_rows(self):
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
-        reg = discount_blend(model, 0.25, GAMMA)
+        reg = regularize(model, None, "discount", 0.25, GAMMA)
         np.testing.assert_allclose(reg.t_reg[0, 0], [0.3, 0.45], atol=1e-15)
         np.testing.assert_allclose(reg.t_reg.sum(axis=2), 0.75, atol=1e-15)
-        assert reg.effective_gamma == GAMMA
-        assert reg.gamma_l == pytest.approx(0.75 * GAMMA, abs=1e-15)
+        # planned at the true gamma; the rows carry the lowered discount 0.75 * gamma
+        assert PlanningProblem.from_regularized(reg).gamma == GAMMA
 
     def test_out_of_range_eps_rejected(self):
         model = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            discount_blend(model, 1.2, GAMMA)
+            regularize(model, None, "discount", 1.2, GAMMA)
 
 
 class TestEpsGreedyBlend:
     def test_single_action_is_identity(self):
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
         for eps in (0.0, 0.3, 1.0):
-            np.testing.assert_allclose(eps_greedy_blend(model, eps, GAMMA).t_reg,
+            np.testing.assert_allclose(regularize(model, None, "eps_greedy", eps, GAMMA).t_reg,
                                        model.t_hat, atol=1e-15)
 
     def test_full_blend_averages_all_actions(self):
         t = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
         model = EstimatedModel(t, np.zeros((2, 2)), np.ones((2, 2), dtype=np.int64))
-        reg = eps_greedy_blend(model, 1.0, GAMMA)
+        reg = regularize(model, None, "eps_greedy", 1.0, GAMMA)
         np.testing.assert_allclose(reg.t_reg, 0.5)
 
     def test_half_blend_of_unit_rows(self):
         t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])  # two actions, one state
         model = EstimatedModel(t, np.zeros((1, 2)), np.ones((1, 2), dtype=np.int64))
-        reg = eps_greedy_blend(model, 0.5, GAMMA)
+        reg = regularize(model, None, "eps_greedy", 0.5, GAMMA)
         np.testing.assert_allclose(reg.t_reg[0, 0], [0.75, 0.25], atol=1e-15)
         np.testing.assert_allclose(reg.t_reg.sum(axis=2), 1.0, atol=1e-15)
 
     def test_out_of_range_eps_rejected(self):
         model = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            eps_greedy_blend(model, -0.1, GAMMA)
+            regularize(model, None, "eps_greedy", -0.1, GAMMA)
 
 
 class TestConversions:
