@@ -17,13 +17,11 @@ from .harness import (ConfigError, ExperimentConfig, ResultRow, builtin_presets,
                       config_hash, emit_csv, emit_summary, load_experiment_config,
                       run_experiment)
 from .mdp import DEFAULT_GAMMA, TabularMdp, apply_reward_shift, validate_mdp
-from .planning import (PlanningProblem, EquivalenceReport, PolicyIterationError,
-                       greedy_from_q, policy_evaluation, policy_iteration, q_from_values,
-                       q_gaps, uniform_blend_equivalence)
-from .regularizers import (DirichletPrior, RegularizedModel, alpha_sum_from_eps,
-                           dirichlet_posterior_mean, eps_from_gammas, eps_from_prior,
-                           gamma_l_from_eps, implied_prior_magnitude, regularize,
-                           uniform_prior)
+from .planning import (PlanningProblem, PolicyIterationError, greedy_from_q,
+                       policy_evaluation, policy_iteration, q_from_values, q_gaps)
+from .regularizers import (RegularizedModel, alpha_sum_from_eps, eps_from_gammas,
+                           eps_from_prior, gamma_l_from_eps, implied_prior_magnitude,
+                           regularize)
 from .seeding import child_seed
 
 __version__ = "0.1.0"

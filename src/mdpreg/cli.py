@@ -6,8 +6,8 @@ import argparse
 import sys
 
 from .environments import MdpSpecError, load_mdp_spec
-from .harness import (ConfigError, builtin_presets, emit_csv, emit_summary,
-                      load_experiment_config, override, run_experiment)
+from .harness import (ConfigError, ReplicationError, builtin_presets, emit_csv,
+                      emit_summary, load_experiment_config, override, run_experiment)
 from .properties import run_acceptance
 
 
@@ -100,6 +100,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ReplicationError as exc:  # a failed run, not a rejected input
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

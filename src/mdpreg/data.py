@@ -44,15 +44,20 @@ class StartMode:
     states: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if self.kind not in ("uniform", "fixed", "set"):
-            raise ValueError(f"unknown start mode {self.kind!r}")
-        if self.kind == "fixed" and len(self.states) != 1:
-            raise ValueError("fixed start mode takes exactly one state")
-        if self.kind == "set" and len(self.states) == 0:
-            raise ValueError("set start mode requires a non-empty state list")
-        if len(set(self.states)) != len(self.states):
-            raise ValueError(f"start states {list(self.states)} have duplicates")
+        if problems := self.problems(self.kind, self.states):
+            raise ValueError("; ".join(problems))
         object.__setattr__(self, "states", tuple(int(s) for s in self.states))
+
+    @staticmethod
+    def problems(kind: str, states: Sequence[int]) -> list[str]:
+        """Every reason ``StartMode(kind, states)`` would raise."""
+        rules = (
+            (kind not in ("uniform", "fixed", "set"), f"unknown start mode {kind!r}"),
+            (kind == "fixed" and len(states) != 1, "fixed start mode takes exactly one state"),
+            (kind == "set" and len(states) == 0, "set start mode requires a non-empty state list"),
+            (len(set(states)) != len(states), f"start states {list(states)} have duplicates"),
+        )
+        return [message for broken, message in rules if broken]
 
     @classmethod
     def uniform(cls) -> "StartMode":
@@ -89,12 +94,18 @@ class CollectionConfig:
     start_mode: StartMode = StartMode.uniform()
 
     def __post_init__(self):
-        if self.n_trajectories < 1:
-            raise ValueError("n_trajectories must be positive")
-        if self.trajectory_length < 1:
-            raise ValueError("trajectory_length must be positive")
-        if not 0.0 <= self.p_optimal <= 1.0:
-            raise ValueError(f"p_optimal must be in [0, 1], got {self.p_optimal}")
+        if problems := self.problems(self.n_trajectories, self.trajectory_length, self.p_optimal):
+            raise ValueError("; ".join(problems))
+
+    @staticmethod
+    def problems(n_trajectories: int, trajectory_length: int, p_optimal: float) -> list[str]:
+        """Every reason a collection of these sizes would raise (the start mode aside)."""
+        rules = (
+            (n_trajectories < 1, "n_trajectories must be positive"),
+            (trajectory_length < 1, "trajectory_length must be positive"),
+            (not 0.0 <= p_optimal <= 1.0, f"p_optimal must be in [0, 1], got {p_optimal}"),
+        )
+        return [message for broken, message in rules if broken]
 
 
 def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,

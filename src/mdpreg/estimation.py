@@ -35,11 +35,10 @@ class CountsTensor:
 
 @dataclass(frozen=True)
 class EstimatedModel:
-    """MLE transition matrices and mean rewards, with visit counts attached."""
+    """MLE transition matrices and mean rewards."""
 
-    t_hat: np.ndarray        # (n_actions, n_states, n_states)
-    r_hat: np.ndarray        # (n_states, n_actions)
-    visit_count: np.ndarray  # (n_states, n_actions) int64
+    t_hat: np.ndarray  # (n_actions, n_states, n_states)
+    r_hat: np.ndarray  # (n_states, n_actions)
 
 
 def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:
@@ -68,4 +67,4 @@ def mle_model(counts: CountsTensor) -> EstimatedModel:
     rows = np.where(visited[:, :, None], counts.c / denom, 1.0 / n)
     r_hat = np.where(visited, counts.reward_sum / np.maximum(visits, 1), UNVISITED_REWARD)
     t_hat = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
-    return EstimatedModel(t_hat, r_hat, visits.copy())
+    return EstimatedModel(t_hat, r_hat)

@@ -54,6 +54,10 @@ class ConfigError(ValueError):
         super().__init__("invalid experiment config: " + "; ".join(problems))
 
 
+class ReplicationError(RuntimeError):
+    """A replication failed or was lost; the message names it and its child seed."""
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one sweep (JSON-mirrorable, see README)."""
@@ -195,8 +199,8 @@ def _replication_task(ctx: _ReplicationContext, rep: int
     try:
         return _replication_metrics(ctx, rep)
     except Exception as exc:
-        raise RuntimeError(f"replication {rep} (child seed"
-                           f" {child_seed(ctx.master_seed, rep)}) failed: {exc}") from exc
+        raise ReplicationError(f"replication {rep} (child seed"
+                               f" {child_seed(ctx.master_seed, rep)}) failed: {exc}") from exc
 
 
 def _replication_metrics(ctx: _ReplicationContext, rep: int
@@ -275,7 +279,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 rep = len(results)
                 first = rep - rep % chunk
                 last = min(first + chunk, cfg.replications) - 1
-                raise RuntimeError(
+                raise ReplicationError(
                     f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
                     f" chunk of replications {first}-{last}) was not received:"
                     f" a worker process died ({exc})") from exc
@@ -412,15 +416,11 @@ def load_experiment_config(path) -> ExperimentConfig:
         problems += _field_problems(coll, "collection.", ("n_trajectories", "trajectory_length"))
     if problems:
         raise ConfigError(problems)
-    try:
-        collection = CollectionConfig(
-            n_trajectories=coll["n_trajectories"],
-            trajectory_length=coll["trajectory_length"],
-            p_optimal=float(coll.get("p_optimal", 0.0)),
-            start_mode=StartMode(*_start_mode_args(coll.get("start_mode", "uniform"))),
-        )
-    except ValueError as exc:
-        raise ConfigError([str(exc)])
+    start = _start_mode_args(coll.get("start_mode", "uniform"))
+    sizes = (coll["n_trajectories"], coll["trajectory_length"], float(coll.get("p_optimal", 0.0)))
+    problems = StartMode.problems(*start) + CollectionConfig.problems(*sizes)
+    # a collection with problems is not built; the config then only gets validated
+    collection = None if problems else CollectionConfig(*sizes, StartMode(*start))
 
     fields = dict(doc, collection=collection)  # absent fields take the defaults
     for name, kind in (("methods", str), ("eps_grid", float), ("magnitude_grid", float)):
@@ -429,7 +429,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     if fields.get("gamma") is not None:
         fields["gamma"] = float(fields["gamma"])
     cfg = ExperimentConfig(**fields)
-    problems = validate_experiment_config(cfg)
+    problems += validate_experiment_config(cfg)
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -134,33 +134,3 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
             sub = replace(problem, t=t[active])
     raise PolicyIterationError(active.tolist())
 
-
-@dataclass(frozen=True)
-class EquivalenceReport:
-    """Outcome of the lowered-discount vs uniform-blend comparison."""
-
-    policy_lowered: np.ndarray
-    policy_blended: np.ndarray
-    compared: np.ndarray  # states with a clear Q-gap in both problems
-    agree: bool
-
-
-def uniform_blend_equivalence(mdp: TabularMdp, eps: float,
-                              tie_tol: float = TIE_TOL) -> EquivalenceReport:
-    """Compare optimal policies of (T, (1-eps)*gamma) and ((1-eps)T + eps*T_unif, gamma).
-
-    The two problems provably share an optimal policy. States where either
-    has a Q-tie within tie_tol are excluded: the guarantee is a common
-    optimal policy, not a common tie-break.
-    """
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
-    n = mdp.n_states
-    lowered = PlanningProblem(mdp.transition, mdp.reward_mean, (1.0 - eps) * mdp.gamma)
-    blended = PlanningProblem((1.0 - eps) * mdp.transition + eps / n,
-                              mdp.reward_mean, mdp.gamma)
-    pi_low, q_low = policy_iteration(lowered, tie_tol)
-    pi_blend, q_blend = policy_iteration(blended, tie_tol)
-    compared = (q_gaps(q_low) > tie_tol) & (q_gaps(q_blend) > tie_tol)
-    agree = bool(np.all(pi_low[compared] == pi_blend[compared]))
-    return EquivalenceReport(pi_low, pi_blend, compared, agree)

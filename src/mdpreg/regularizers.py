@@ -3,8 +3,9 @@
 Each method replaces the MLE matrix for action ``a`` with a blend
 ``(1 - eps) * T_mle(a) + eps * T_other``:
 
-* Dirichlet posterior mean: T_other is the prior-mean row, with a per
-  state-action blend weight eps = sum(alpha) / (sum(c) + sum(alpha));
+* Dirichlet posterior mean under a uniform prior of mass m per pair:
+  T_other is the uniform row 1/N, with a per state-action blend weight
+  eps = m / (n_sa + m), n_sa the pair's visit count;
 * discount blend: T_other is the zero matrix, leaving substochastic rows
   that sum to 1 - eps (equivalent to planning with the lowered discount
   (1 - eps) * gamma);
@@ -19,30 +20,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimation import CountsTensor, EstimatedModel, mle_model
+from .estimation import CountsTensor, EstimatedModel
 
 METHODS = ("dirichlet", "discount", "eps_greedy", "none")
 
 
 @dataclass(frozen=True)
-class DirichletPrior:
-    """Per state-action Dirichlet parameters over successor states."""
-
-    alpha: np.ndarray  # (n_states, n_actions, n_states), nonnegative
-
-    def __post_init__(self):
-        if np.any(self.alpha < 0):
-            raise ValueError("Dirichlet parameters must be nonnegative")
-
-
-@dataclass(frozen=True)
 class RegularizedModel:
-    """Blended per-action matrices plus the blend metadata.
-
-    ``eps_per_pair`` is the realized blend weight of each state-action pair
-    and ``gamma`` the true discount every method plans with. A batch of cells
-    (see ``regularize``) has tuples for ``method`` and ``strength`` and a
-    leading cell axis on ``t_reg`` and ``eps_per_pair``.
+    """Blended per-action matrices with the reward estimate and the true
+    discount every method plans with. A batch of cells (see ``regularize``)
+    has tuples for ``method`` and ``strength`` and a leading cell axis on
+    ``t_reg``.
     """
 
     t_reg: np.ndarray   # (n_actions, n_states, n_states), or (cells, ...) for a batch
@@ -50,7 +38,6 @@ class RegularizedModel:
     method: str | tuple[str, ...]
     strength: float | tuple[float, ...]
     gamma: float
-    eps_per_pair: np.ndarray | None = None  # (n_states, n_actions), or (cells, ...)
 
 
 def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.ndarray:
@@ -61,51 +48,18 @@ def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.
     return out
 
 
-def uniform_prior(magnitude: float, n_states: int, n_actions: int) -> DirichletPrior:
-    """Uniform Dirichlet prior with total parameter mass ``magnitude`` per pair."""
-    if magnitude < 0:
-        raise ValueError(f"prior magnitude must be nonnegative, got {magnitude}")
-    alpha = np.full((n_states, n_actions, n_states), magnitude / n_states)
-    return DirichletPrior(alpha)
-
-
-def dirichlet_posterior_mean(counts: CountsTensor, prior: DirichletPrior,
-                             gamma: float) -> RegularizedModel:
-    """Posterior-mean rows (c + alpha) / (sum c + sum alpha): the MLE row blended
-    with the prior-mean row at eps = sum(alpha) / (sum(c) + sum(alpha))."""
-    if prior.alpha.shape != counts.c.shape:
-        raise ValueError(
-            f"prior shape {prior.alpha.shape} does not match counts shape {counts.c.shape}"
-        )
-    est = mle_model(counts)
-    alpha_sums = prior.alpha.sum(axis=2)                  # (n_states, n_actions)
-    prior_mean, eps = _posterior_terms(counts, alpha_sums, prior.alpha)
-    return RegularizedModel(blend(est.t_hat, prior_mean, eps.T[:, :, None]), est.r_hat,
-                            "dirichlet", float(alpha_sums.mean()), gamma, eps)
-
-
-def _posterior_terms(counts: CountsTensor, alpha_sums, alpha: np.ndarray | None = None):
-    """The posterior mean's T_other, the prior-mean rows (n_actions, n_states,
-    n_states) or 1/N for a uniform prior (``alpha`` None), and its per-pair
-    eps = sum(alpha) / (sum(c) + sum(alpha)). Pairs with neither counts nor
-    prior mass get eps = 0, keeping the MLE's uniform row."""
-    totals = counts.visit_count + alpha_sums
-    eps = np.divide(alpha_sums, totals, out=np.zeros(totals.shape), where=totals > 0)
-    if alpha is None:
-        return 1.0 / counts.n_states, eps
-    prior_mean = np.divide(alpha, alpha_sums[:, :, None], where=alpha_sums[:, :, None] > 0,
-                           out=np.full(alpha.shape, 1.0 / counts.n_states))
-    return np.moveaxis(prior_mean, 1, 0), eps
-
-
 def _blend_terms(model: EstimatedModel, counts: CountsTensor | None, method: str,
                  strength: float):
-    """One cell's T_other, a scalar or (n_states, n_states) shared by every
-    action, and its blend weight, a scalar or per pair (n_states, n_actions)."""
+    """One cell's ``blend`` arguments: T_other, a scalar or (n_states, n_states)
+    shared by every action, and eps, a scalar or one per row (n_actions, n_states, 1)."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "dirichlet" and strength >= 0:
-        return _posterior_terms(counts, strength)  # uniform prior of mass m per pair
+        # uniform prior of mass m per pair: eps = m / (n_sa + m), and 0 for pairs
+        # with neither counts nor mass, which keep the MLE's uniform row
+        totals = counts.visit_count.T[:, :, None] + strength
+        eps = np.divide(strength, totals, out=np.zeros(totals.shape), where=totals > 0)
+        return 1.0 / counts.n_states, eps
     if method in ("discount", "eps_greedy") and 0.0 <= strength <= 1.0:
         return (0.0 if method == "discount" else model.t_hat.mean(axis=0)), float(strength)
     if method == "none" and strength == 0.0:
@@ -127,16 +81,11 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
         raise ValueError(f"{len(methods)} methods but {len(strengths)} strengths")
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
     t_reg = np.empty((len(methods),) + model.t_hat.shape)
-    eps_per_pair = np.empty((len(methods),) + model.r_hat.shape)
     for i, (m, s) in enumerate(zip(methods, strengths)):
-        t_other, eps = _blend_terms(model, counts, m, s)
-        eps_per_pair[i] = eps  # a scalar eps keeps numpy's fast scalar loop
-        blend(model.t_hat, t_other, eps if np.ndim(eps) == 0 else eps.T[:, :, None],
-              out=t_reg[i])
+        blend(model.t_hat, *_blend_terms(model, counts, m, s), out=t_reg[i])
     if not single:
-        return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma, eps_per_pair)
-    return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma,
-                            eps_per_pair[0])
+        return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma)
+    return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma)
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

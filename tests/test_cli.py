@@ -1,5 +1,6 @@
 import inspect
 import json
+import re
 
 import pytest
 
@@ -239,3 +240,36 @@ def test_misspelled_builtin_mdp_lists_the_builtins(tmp_path, capsys, monkeypatch
     assert main(["run", "--config", str(_config(tmp_path, "clif"))]) == 2
     assert capsys.readouterr().err == ("error: mdp 'clif' is neither a builtin MDP"
                                        " (cliff, two_goals, grid) nor an existing file\n")
+
+
+def test_run_reports_every_range_problem_at_once(tmp_path, capsys):
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "mdp": "grid", "replications": 0, "workers": 0,
+        "collection": {"n_trajectories": 0, "trajectory_length": 0, "p_optimal": 2.0,
+                       "start_mode": {"set": [1, 1]}},
+    }))
+    assert main(["run", "--config", str(cfg_path)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: start states [1, 1] have duplicates",
+        "error: n_trajectories must be positive",
+        "error: trajectory_length must be positive",
+        "error: p_optimal must be in [0, 1], got 2.0",
+        "error: replications must be >= 1",
+        "error: workers must be >= 1",
+    ]
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_replication_is_one_error_line(tmp_path, capsys, workers):
+    # the loader accepts this size; generating the dataset cannot allocate it
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({
+        "mdp": "grid", "methods": ["none"], "replications": 1,
+        "collection": {"n_trajectories": 10 ** 15, "trajectory_length": 5},
+    }))
+    assert main(["run", "--config", str(cfg_path), "--workers", workers]) == 1
+    captured = capsys.readouterr()
+    [line] = captured.err.splitlines()
+    assert re.fullmatch(r"error: replication 0 \(child seed \d+\) failed: .+", line)
+    assert "mean_loss" not in captured.out

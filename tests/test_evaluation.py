@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from mdpreg import (PlanningProblem, RegularizedModel, dirichlet_posterior_mean,
-                    policy_evaluation, policy_iteration, regularize, transition_mse,
-                    uniform_prior)
+from mdpreg import (PlanningProblem, RegularizedModel, mle_model, policy_evaluation,
+                    policy_iteration, regularize, transition_mse)
 from mdpreg.estimation import EstimatedModel
 from mdpreg.properties import random_mdp, random_uniform_visit_counts
 from tests.test_mdp import make_two_state
@@ -65,8 +64,7 @@ class TestTransitionMse:
         # eps = 1 empties every row into the absorbing column; the expected
         # value is recomputed here from explicit block matrices
         t_true = np.array([[[1.0, 0.0], [0.3, 0.7]]])
-        model = EstimatedModel(t_true.copy(), np.zeros((2, 1)),
-                               np.ones((2, 1), dtype=np.int64))
+        model = EstimatedModel(t_true.copy(), np.zeros((2, 1)))
         reg = regularize(model, None, "discount", 1.0, 0.95)
         result = transition_mse(t_true, reg)
 
@@ -79,8 +77,7 @@ class TestTransitionMse:
     def test_discount_augmented_column_holds_eps(self):
         rng = np.random.default_rng(3)
         t_true = rng.dirichlet(np.ones(3), size=(2, 3))
-        model = EstimatedModel(np.array(t_true), np.zeros((3, 2)),
-                               np.ones((3, 2), dtype=np.int64))
+        model = EstimatedModel(np.array(t_true), np.zeros((3, 2)))
         reg = regularize(model, None, "discount", 0.4, 0.95)
         result = transition_mse(t_true, reg)
         # (N+1)^2 denominator per action: recompute independently
@@ -105,12 +102,12 @@ class TestTransitionMse:
         counts = random_uniform_visit_counts(rng, 4, 2, row_total=25)
         t_true = rng.dirichlet(np.ones(4), size=(2, 4))
         uniform_mse = float(((t_true - 0.25) ** 2).mean())
+        model = mle_model(counts)
 
         def curve(magnitudes):
             values = []
             for m in magnitudes:
-                reg = dirichlet_posterior_mean(counts, uniform_prior(float(m), 4, 2),
-                                               0.95)
+                reg = regularize(model, counts, "dirichlet", float(m), 0.95)
                 values.append(transition_mse(np.asarray(t_true), reg).mse_plain)
             return np.asarray(values)
 

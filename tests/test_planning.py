@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from mdpreg import (GridNoiseConfig, PlanningProblem, build_two_goals, greedy_from_q,
-                    policy_evaluation, policy_iteration, q_from_values, q_gaps, regularize,
-                    uniform_blend_equivalence)
+                    policy_evaluation, policy_iteration, q_from_values, q_gaps, regularize)
 from mdpreg.estimation import EstimatedModel
-from mdpreg.properties import eps_greedy_evaluation, random_mdp
+from mdpreg.mdp import TIE_TOL
+from mdpreg.properties import _policies_agree_tie_free, eps_greedy_evaluation, random_mdp
 
 
 def brute_force_values(problem):
@@ -149,25 +149,32 @@ class TestPlanningProblemValidation:
             PlanningProblem(t, np.zeros((2, 1)), 0.9)
 
 
+def lowered_and_blended(mdp, eps):
+    """(policy, Q) of (T, (1-eps)*gamma) and of ((1-eps)*T + eps*T_unif, gamma)."""
+    lowered = PlanningProblem(mdp.transition, mdp.reward_mean, (1.0 - eps) * mdp.gamma)
+    blended = PlanningProblem((1.0 - eps) * mdp.transition + eps / mdp.n_states,
+                              mdp.reward_mean, mdp.gamma)
+    return policy_iteration(lowered) + policy_iteration(blended)
+
+
 class TestUniformBlendEquivalence:
     def test_zero_eps_is_trivial_agreement(self):
         rng = np.random.default_rng(2)
-        report = uniform_blend_equivalence(random_mdp(rng, 4, 2), 0.0)
-        assert report.agree
-        np.testing.assert_array_equal(report.policy_lowered, report.policy_blended)
+        pi_low, _, pi_blend, _ = lowered_and_blended(random_mdp(rng, 4, 2), 0.0)
+        np.testing.assert_array_equal(pi_low, pi_blend)
 
     def test_random_instance_agrees(self):
         rng = np.random.default_rng(6)
-        report = uniform_blend_equivalence(random_mdp(rng, 5, 3), 0.3)
-        assert report.agree
-        assert report.compared.any()
+        pi_low, q_low, pi_blend, q_blend = lowered_and_blended(random_mdp(rng, 5, 3), 0.3)
+        assert _policies_agree_tie_free(pi_low, q_low, pi_blend, q_blend)
+        assert ((q_gaps(q_low) > TIE_TOL) & (q_gaps(q_blend) > TIE_TOL)).any()
 
     @pytest.mark.parametrize("eps", [0.1, 0.5, 0.9])
     def test_agreement_across_random_family(self, eps):
         rng = np.random.default_rng(int(eps * 100))
         for _ in range(20):
             mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-            assert uniform_blend_equivalence(mdp, eps).agree
+            assert _policies_agree_tie_free(*lowered_and_blended(mdp, eps))
 
     def test_q_gap_helper(self):
         q = np.array([[1.0, 3.0, 2.5], [0.0, 0.0, -1.0]])
@@ -182,8 +189,7 @@ class TestEpsGreedyPlanning:
         for _ in range(10):
             n = int(rng.integers(2, 4))
             mdp = random_mdp(rng, n, 2, state_rewards=True)
-            est = EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy(),
-                                 np.ones((n, 2), dtype=np.int64))
+            est = EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy())
             reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
             pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
             v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean, mdp.gamma,

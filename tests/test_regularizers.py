@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mdpreg import (CountsTensor, DirichletPrior, PlanningProblem, alpha_sum_from_eps,
-                    dirichlet_posterior_mean, eps_from_gammas, eps_from_prior,
-                    gamma_l_from_eps, implied_prior_magnitude, mle_model, regularize,
-                    uniform_prior)
+from mdpreg import (CountsTensor, PlanningProblem, alpha_sum_from_eps, eps_from_gammas,
+                    eps_from_prior, gamma_l_from_eps, implied_prior_magnitude, mle_model,
+                    regularize)
 from mdpreg.estimation import EstimatedModel
 from mdpreg.properties import random_uniform_visit_counts
+from tests.test_batched import random_counts
 
 GAMMA = 0.95
 
@@ -20,39 +22,44 @@ def counts_from_rows(rows):
 
 def model_from_rows(rows):
     t = np.asarray(rows, dtype=float)[None, :, :]
-    n = t.shape[1]
-    return EstimatedModel(t, np.zeros((n, 1)), np.ones((n, 1), dtype=np.int64))
+    return EstimatedModel(t, np.zeros((t.shape[1], 1)))
+
+
+def dirichlet(counts, magnitude):
+    """The posterior mean under a uniform prior of mass ``magnitude`` per pair."""
+    return regularize(mle_model(counts), counts, "dirichlet", magnitude, GAMMA)
 
 
 class TestDirichlet:
     def test_conjugate_update_by_hand(self):
-        # c = (2, 0, 2), alpha = (1, 1, 1): row (3/7, 1/7, 3/7), eps = 3/7
+        # c = (2, 0, 2), mass 3, so alpha = (1, 1, 1): row (3/7, 1/7, 3/7), eps = 3/7
         counts = counts_from_rows([[2, 0, 2], [1, 1, 1], [1, 1, 1]])
-        prior = DirichletPrior(np.ones((3, 1, 3)))
-        reg = dirichlet_posterior_mean(counts, prior, GAMMA)
+        reg = dirichlet(counts, 3.0)
         np.testing.assert_allclose(reg.t_reg[0, 0], [3 / 7, 1 / 7, 3 / 7], atol=1e-15)
-        assert reg.eps_per_pair[0, 0] == pytest.approx(3 / 7, abs=1e-15)
+        # the MLE entry is 0, so the entry is eps / N
+        assert 3 * reg.t_reg[0, 0, 1] == pytest.approx(3 / 7, abs=1e-15)
 
     def test_zero_prior_reproduces_mle(self):
         counts = counts_from_rows([[3, 1], [1, 1]])
-        reg = dirichlet_posterior_mean(counts, uniform_prior(0.0, 2, 1), GAMMA)
+        reg = dirichlet(counts, 0.0)
         np.testing.assert_array_equal(reg.t_reg[0, 0], [0.75, 0.25])
         np.testing.assert_array_equal(reg.t_reg, mle_model(counts).t_hat)
 
     def test_zero_counts_give_prior_mean(self):
         counts = counts_from_rows([[0, 0], [0, 0]])
-        reg = dirichlet_posterior_mean(counts, uniform_prior(4.0, 2, 1), GAMMA)
+        reg = dirichlet(counts, 4.0)
         np.testing.assert_allclose(reg.t_reg, 0.5)
 
     def test_zero_counts_zero_prior_fall_back_to_uniform(self):
         counts = counts_from_rows([[0, 0], [0, 0]])
-        reg = dirichlet_posterior_mean(counts, uniform_prior(0.0, 2, 1), GAMMA)
+        reg = dirichlet(counts, 0.0)
         np.testing.assert_array_equal(reg.t_reg, 0.5)
-        np.testing.assert_array_equal(reg.eps_per_pair, 0.0)
+        np.testing.assert_array_equal(reg.t_reg, mle_model(counts).t_hat)
 
     def test_negative_alpha_rejected(self):
-        with pytest.raises(ValueError, match="nonnegative"):
-            DirichletPrior(-np.ones((2, 1, 2)))
+        counts = counts_from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="prior magnitude >= 0"):
+            dirichlet(counts, -1.0)
 
     def test_matrix_form_under_uniform_visits(self):
         # with equal row totals the per-pair blend is the exact matrix blend
@@ -60,42 +67,51 @@ class TestDirichlet:
         counts = random_uniform_visit_counts(rng, 5, 2, row_total=30)
         t_mle = mle_model(counts).t_hat
         for m in (1.0, 10.0, 100.0):
-            reg = dirichlet_posterior_mean(counts, uniform_prior(m, 5, 2), GAMMA)
+            reg = dirichlet(counts, m)
             eps = m / (30 + m)
             expected = (1 - eps) * t_mle + eps / 5
             assert np.abs(reg.t_reg - expected).max() <= 1e-12
 
-    def test_regularize_is_the_uniform_prior_posterior_mean(self):
-        # regularize takes the prior mass m directly; the posterior mean sums
-        # m / N over N entries, so the two agree to rounding, unvisited pairs too
-        rng = np.random.default_rng(3)
-        c = rng.integers(0, 4, size=(6, 3, 6)) * (rng.random((6, 3, 1)) < 0.6)
-        counts = CountsTensor(c, rng.random((6, 3)), c.sum(axis=2))
-        assert (counts.visit_count == 0).any()
-        model = mle_model(counts)
-        for m in (0.0, 0.5, 1.0, 7.0, 1000.0):
-            got = regularize(model, counts, "dirichlet", m, GAMMA)
-            want = dirichlet_posterior_mean(counts, uniform_prior(m, 6, 3), GAMMA)
-            np.testing.assert_allclose(got.t_reg, want.t_reg, rtol=0, atol=1e-15)
-            np.testing.assert_allclose(got.eps_per_pair, want.eps_per_pair, rtol=0, atol=1e-15)
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7),
+           n_actions=st.integers(1, 3), unvisited=st.sampled_from([0.0, 0.5, 1.0]),
+           m=st.just(0.0) | st.floats(0.0, 1e6))
+    def test_regularize_is_the_uniform_prior_posterior_mean(self, seed, n, n_actions,
+                                                            unvisited, m):
+        # (c + m/N) / (n_sa + m) entry by entry; the uniform row where n_sa + m == 0
+        counts = random_counts(seed, n, n_actions, unvisited)
+        n_sa = counts.visit_count[:, :, None]
+        want = np.full(counts.c.shape, 1.0 / n)
+        np.divide(counts.c + m / n, n_sa + m, out=want, where=n_sa + m > 0)
+        got = dirichlet(counts, m)
+        np.testing.assert_allclose(got.t_reg, np.moveaxis(want, 1, 0), rtol=0, atol=1e-15)
 
 
 class TestUniformPrior:
+    """The prior ``regularize`` gives ``dirichlet``: mass m spread as m/N per entry."""
+
     def test_zero_magnitude_is_zero_prior(self):
-        assert uniform_prior(0.0, 4, 2).alpha.sum() == 0.0
+        counts = random_counts(5, 6, 3, unvisited=0.5)
+        assert (counts.visit_count == 0).any()
+        np.testing.assert_array_equal(dirichlet(counts, 0.0).t_reg, mle_model(counts).t_hat)
 
     def test_entries_are_magnitude_over_n(self):
-        prior = uniform_prior(10.0, 10, 3)
-        np.testing.assert_array_equal(prior.alpha, 1.0)
+        # mass 10 over 10 states: one pseudo-count per successor
+        row = [3, 0, 1, 0, 0, 0, 2, 0, 0, 0]
+        counts = counts_from_rows([row] * 10)
+        np.testing.assert_allclose(dirichlet(counts, 10.0).t_reg[0, 0],
+                                   (np.array(row) + 1.0) / (6 + 10), rtol=0, atol=1e-15)
 
     def test_prior_mean_is_uniform(self):
-        alpha = uniform_prior(7.0, 5, 1).alpha
-        mean = alpha / alpha.sum(axis=2, keepdims=True)
-        np.testing.assert_allclose(mean, 0.2)
+        # a prior that swamps the counts leaves its mean, the uniform row
+        counts = random_counts(7, 5, 2, unvisited=0.0)
+        np.testing.assert_allclose(dirichlet(counts, 1e15).t_reg, 0.2, rtol=0, atol=1e-12)
 
     def test_negative_magnitude_rejected(self):
-        with pytest.raises(ValueError):
-            uniform_prior(-1.0, 3, 1)
+        counts = random_counts(1, 3, 1, unvisited=0.0)
+        with pytest.raises(ValueError, match="prior magnitude >= 0"):
+            regularize(mle_model(counts), counts, ("dirichlet", "discount"), (-1.0, 0.5),
+                       GAMMA)
 
 
 class TestDiscountBlend:
@@ -133,13 +149,13 @@ class TestEpsGreedyBlend:
 
     def test_full_blend_averages_all_actions(self):
         t = np.array([[[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]]])
-        model = EstimatedModel(t, np.zeros((2, 2)), np.ones((2, 2), dtype=np.int64))
+        model = EstimatedModel(t, np.zeros((2, 2)))
         reg = regularize(model, None, "eps_greedy", 1.0, GAMMA)
         np.testing.assert_allclose(reg.t_reg, 0.5)
 
     def test_half_blend_of_unit_rows(self):
         t = np.array([[[1.0, 0.0]], [[0.0, 1.0]]])  # two actions, one state
-        model = EstimatedModel(t, np.zeros((1, 2)), np.ones((1, 2), dtype=np.int64))
+        model = EstimatedModel(t, np.zeros((1, 2)))
         reg = regularize(model, None, "eps_greedy", 0.5, GAMMA)
         np.testing.assert_allclose(reg.t_reg[0, 0], [0.75, 0.25], atol=1e-15)
         np.testing.assert_allclose(reg.t_reg.sum(axis=2), 1.0, atol=1e-15)
