@@ -1,10 +1,12 @@
 """Monte-Carlo experiment engine: sweeps across methods, strengths, and seeds.
 
 One replication draws a dataset, estimates the model, and plans its
-(method, strength) cells in waves (see sweep_waves); rows aggregate mean and
-standard error across replications. Replication r always uses
-child_seed(master_seed, r) and aggregation always sums in replication order,
-so results are bit-identical for any worker count.
+(method, strength) cells in waves (see sweep_waves) sized by bytes: each
+wave's stack of blended matrices stays within _WAVE_BYTES, so cliff plans one
+strength per method per wave (21 waves) and grid or two goals all 53 cells in
+one wave. Rows aggregate mean and standard error across replications.
+Replication r always uses child_seed(master_seed, r) and aggregation always
+sums in replication order, so results are bit-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -35,6 +37,10 @@ DEFAULT_SEED = 1729
 DEFAULT_REPLICATIONS = 5000
 DEFAULT_EPS_GRID = tuple(i / 20 for i in range(21))
 DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
+
+# bytes of blended matrices one wave may stack: a cliff wave (3 x 74 KB) takes
+# one strength per method, a grid or two-goals sweep (53 x 2.4-3.5 KB) one wave
+_WAVE_BYTES = 1 << 18
 
 # the dense example limited-start variant needs an explicit list of 5 states
 GRID_LIMITED_STARTS = (0, 2, 4, 6, 8)
@@ -151,12 +157,21 @@ def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     return cells
 
 
-def sweep_waves(cells) -> list[list[int]]:
+def sweep_waves(cells, width: int) -> list[list[int]]:
     """Cell indices per wave of ``sweep_cells`` output (each method's cells
-    contiguous): wave j holds the j-th cell of every method and is planned as
-    one stack, each cell warm-started from its method's wave j-1 policy."""
+    contiguous): wave j holds the next ``width`` cells of every method, in
+    output order, and is planned as one stack, each cell warm-started from
+    its method's last policy of wave j-1. ``width = 1`` gives wave j the j-th
+    cell of every method."""
     spans = [list(g) for _, g in groupby(range(len(cells)), key=lambda i: cells[i][0])]
-    return [[i for i in wave if i is not None] for wave in zip_longest(*spans)]
+    chunks = [[span[j:j + width] for j in range(0, len(span), width)] for span in spans]
+    return [[i for chunk in wave if chunk for i in chunk] for wave in zip_longest(*chunks)]
+
+
+def _wave_width(cells, cell_bytes: int) -> int:
+    """Strengths per method in one wave: as many as keep its stack of
+    ``cell_bytes``-sized matrices within _WAVE_BYTES, and at least one."""
+    return max(1, _WAVE_BYTES // (len({m for m, _ in cells}) * cell_bytes))
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -193,6 +208,22 @@ class _ReplicationContext:
     master_seed: int
 
 
+def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _ReplicationContext:
+    """What every replication of ``cfg`` on ``mdp`` shares, the true optimum included."""
+    true_problem = PlanningProblem.from_mdp(mdp)
+    pi_opt, _ = policy_iteration(true_problem)
+    return _ReplicationContext(
+        mdp=mdp,
+        true_problem=true_problem,
+        pi_opt=pi_opt,
+        v_opt=policy_evaluation(true_problem, pi_opt),
+        start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
+        cells=tuple(sweep_cells(cfg)),
+        collection=cfg.collection,
+        master_seed=cfg.master_seed,
+    )
+
+
 def _replication_task(ctx: _ReplicationContext, rep: int
                       ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One full replication: dataset -> estimate -> per-cell plan and metrics."""
@@ -211,10 +242,11 @@ def _replication_metrics(ctx: _ReplicationContext, rep: int
     counts = count(dataset, mdp.n_states, mdp.n_actions)
     est = mle_model(counts)
 
+    width = _wave_width(ctx.cells, est.t_hat.nbytes)
     latest = {}  # each method's latest policy: its warm start in the next wave
     policies = np.empty((len(ctx.cells), mdp.n_states), dtype=np.int64)
     mse_plain, mse_abs = np.empty((2, len(ctx.cells)))
-    for cells in sweep_waves(ctx.cells):
+    for cells in sweep_waves(ctx.cells, width):
         methods, strengths = zip(*(ctx.cells[i] for i in cells))
         reg = regularize(est, counts, methods, strengths, mdp.gamma)
         # wave 0 holds every method, so each later wave finds all its warm starts
@@ -249,20 +281,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 for s in cfg.collection.start_mode.states if not 0 <= s < mdp.n_states]
     if problems:
         raise ConfigError(problems)
-    true_problem = PlanningProblem.from_mdp(mdp)
-    pi_opt, _ = policy_iteration(true_problem)
-    v_opt = policy_evaluation(true_problem, pi_opt)
-    ctx = _ReplicationContext(
-        mdp=mdp,
-        true_problem=true_problem,
-        pi_opt=pi_opt,
-        v_opt=v_opt,
-        start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
-        cells=tuple(sweep_cells(cfg)),
-        collection=cfg.collection,
-        master_seed=cfg.master_seed,
-    )
-
+    ctx = _replication_context(cfg, mdp)
     task = partial(_replication_task, ctx)
     reps = range(cfg.replications)
     if cfg.workers <= 1:

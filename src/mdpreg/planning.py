@@ -16,6 +16,11 @@ from .mdp import TIE_TOL, TabularMdp
 from .regularizers import RegularizedModel
 
 _MAX_SWEEPS = 10_000
+# an action must beat the incumbent by more than this times the problem's
+# largest |Q| to replace it: far above a solve's round-off (~1e-16 relative
+# per unit of condition number), far below the presets' smallest real gains
+# (~1e-7 relative)
+_ROUNDOFF = 1e-12
 
 
 class PolicyIterationError(RuntimeError):
@@ -101,9 +106,12 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration; returns the optimal policy and its Q-function.
 
-    Improvement keeps the incumbent action whenever it is still maximal, so
-    every policy change strictly increases the value and the sweep cannot
-    cycle. The returned policy is re-canonicalized through greedy_from_q,
+    Improvement keeps the incumbent action whenever it is maximal within
+    round-off (_ROUNDOFF times the problem's largest |Q|): two equal-valued
+    actions reached through different LU solves differ in their last bits,
+    and switching on that noise can cycle forever. So every policy change
+    increases the value by more than round-off and the sweep cannot cycle.
+    The returned policy is re-canonicalized through greedy_from_q,
     breaking all ties toward the lowest action index within tie_tol.
 
     A stack returns (cells, n_states) policies and (cells, n_states,
@@ -121,9 +129,10 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
         current = policy[active]
         # (k, a, s): reductions over actions run along contiguous states
         q = np.swapaxes(q_from_values(sub, policy_evaluation(sub, current)), 1, 2)
-        kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1)
+        slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
+        kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))
-        stable = kept.all(axis=1)  # a state not kept moves to a strictly better action
+        stable = kept.all(axis=1)  # a state not kept moves to a better action
         if stable.any():
             q_final[active[stable]] = q[stable]
             active = active[~stable]

@@ -48,10 +48,11 @@ def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.
     return out
 
 
-def _blend_terms(model: EstimatedModel, counts: CountsTensor | None, method: str,
-                 strength: float):
+def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
+                 method: str, strength: float):
     """One cell's ``blend`` arguments: T_other, a scalar or (n_states, n_states)
-    shared by every action, and eps, a scalar or one per row (n_actions, n_states, 1)."""
+    shared by every action, and eps, a scalar or one per row (n_actions, n_states, 1).
+    ``action_mean`` is the MLE's mean over actions, eps_greedy's T_other."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "dirichlet" and strength >= 0:
@@ -61,7 +62,7 @@ def _blend_terms(model: EstimatedModel, counts: CountsTensor | None, method: str
         eps = np.divide(strength, totals, out=np.zeros(totals.shape), where=totals > 0)
         return 1.0 / counts.n_states, eps
     if method in ("discount", "eps_greedy") and 0.0 <= strength <= 1.0:
-        return (0.0 if method == "discount" else model.t_hat.mean(axis=0)), float(strength)
+        return (0.0 if method == "discount" else action_mean), float(strength)
     if method == "none" and strength == 0.0:
         return 0.0, 0.0
     raise ValueError(f"strength {strength} is out of range for method {method!r}: eps is"
@@ -79,10 +80,11 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
     strengths = (strength,) if single else tuple(float(s) for s in strength)
     if len(methods) != len(strengths):
         raise ValueError(f"{len(methods)} methods but {len(strengths)} strengths")
+    action_mean = model.t_hat.mean(axis=0) if "eps_greedy" in methods else None
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
     t_reg = np.empty((len(methods),) + model.t_hat.shape)
     for i, (m, s) in enumerate(zip(methods, strengths)):
-        blend(model.t_hat, *_blend_terms(model, counts, m, s), out=t_reg[i])
+        blend(model.t_hat, *_blend_terms(counts, action_mean, m, s), out=t_reg[i])
     if not single:
         return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma)
     return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma)

@@ -1,6 +1,6 @@
 """Property tests for the batched paths: stacked policy iteration, the blend
-kernel behind ``regularize`` and the batched ``transition_mse``; and for the
-config loader on arbitrary JSON."""
+kernel behind ``regularize``, the batched ``transition_mse`` and the wave
+width of a replication; and for the config loader on arbitrary JSON."""
 
 import json
 import tempfile
@@ -11,8 +11,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdpreg.harness as harness
 import mdpreg.planning as planning
-from mdpreg import (ConfigError, CountsTensor, PlanningProblem, load_experiment_config,
+from mdpreg import (CollectionConfig, ConfigError, CountsTensor, ExperimentConfig,
+                    PlanningProblem, StartMode, TabularMdp, load_experiment_config,
                     mle_model, policy_iteration, regularize, transition_mse)
 from mdpreg.planning import PolicyIterationError
 
@@ -105,6 +107,23 @@ def test_all_unvisited_counts_converge_in_one_sweep(n, n_actions, cells, seed):
     np.testing.assert_array_equal(policy, 0)
 
 
+def test_round_off_ties_do_not_cycle():
+    # found by the wave-width search: at state 0, actions 0 and 1 both pay 1
+    # and lead (almost surely) to states worth the same, so their values tie
+    # exactly; each policy's LU solve made the other action look better by
+    # ~4e-15, and exact improvement switched between them forever
+    c = np.zeros((2, 4, 2), dtype=np.int64)
+    c[0, 0, 1] = c[1, 0, 0] = c[0, 1, 0] = 2
+    c[1, 2, 0] = c[0, 3, 1] = 1
+    visits = c.sum(axis=2)
+    reward_sum = np.array([[1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0]]) * visits
+    counts = CountsTensor(c, reward_sum, visits)
+    reg = regularize(mle_model(counts), counts, "dirichlet", 1e-9, 0.9)
+    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg))
+    assert sweeps <= 2
+    np.testing.assert_array_equal(policy, [0, 0])
+
+
 def test_sweep_limit_names_the_unconverged_problems():
     # action 0 pays 1 and action 1 nothing, so the all-zero policy is optimal:
     # problem 0 starts there and converges at once, problem 1 needs a second sweep
@@ -118,6 +137,68 @@ def test_sweep_limit_names_the_unconverged_problems():
             assert "did not converge in 1 sweeps" in str(exc)
         else:
             raise AssertionError("expected PolicyIterationError")
+
+
+def near_tie_mdp(seed: int, n: int, n_actions: int, copies: str, reward_std: float
+                 ) -> TabularMdp:
+    """A sparse random MDP with rewards in {0, 0.5, 1}, 0.5 being the MLE's
+    reward for unvisited pairs. ``copies`` makes the last action a copy of
+    action 0 ("duplicate"), then shuffles the actions state by state
+    ("permute"), so that tied actions sit at different indices."""
+    rng = np.random.default_rng(seed)
+    t = rng.random((n_actions, n, n)) * (rng.random((n_actions, n, n)) < 0.4)
+    t[:, np.arange(n), rng.integers(0, n, n)] += 1e-3  # no empty row
+    t /= t.sum(axis=2, keepdims=True)
+    r = rng.choice([0.0, 0.5, 1.0], size=(n, n_actions))
+    if copies != "none":
+        t[-1], r[:, -1] = t[0], r[:, 0]
+    if copies == "permute":
+        perm = rng.permuted(np.tile(np.arange(n_actions), (n, 1)), axis=1)  # (s, a)
+        t, r = t[perm.T, np.arange(n)[None, :]], np.take_along_axis(r, perm, axis=1)
+    return TabularMdp(t, r, np.full((n, n_actions), reward_std), 0.9, np.full(n, 1.0 / n))
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 7), n_actions=st.integers(2, 4),
+       copies=st.sampled_from(["none", "duplicate", "permute"]),
+       reward_std=st.sampled_from([0.0, 0.3]),
+       collection=st.tuples(st.integers(1, 6), st.integers(1, 8),
+                            st.sampled_from([0.0, 0.5, 1.0])),
+       methods=st.permutations(["dirichlet", "discount", "eps_greedy", "none"]),
+       eps_grid=st.lists(st.sampled_from([0.0, 0.3, 0.9, 0.99, 1 - 1e-6, 1 - 1e-12, 1.0]),
+                         min_size=1, max_size=6, unique=True),
+       magnitude_grid=st.lists(st.sampled_from([0.0, 1e-9, 1.0, 100.0, 1e9]),
+                               min_size=1, max_size=4, unique=True))
+def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, reward_std,
+                                                 collection, methods, eps_grid,
+                                                 magnitude_grid):
+    # width 1 warm-starts each cell from its method's previous strength; one
+    # wave per sweep starts every cell cold. Both must give the same bits,
+    # also on near-ties: copied actions, eps_greedy near 1, and data that
+    # leave most pairs unvisited (p_optimal = 1, few short trajectories)
+    mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
+    cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,
+                                                                    StartMode.uniform()),
+                           methods=tuple(methods), eps_grid=tuple(eps_grid),
+                           magnitude_grid=tuple(magnitude_grid), master_seed=seed)
+    ctx = harness._replication_context(cfg, mdp)
+    waves = []
+    real = harness.policy_iteration
+
+    def counting(*args, **kwargs):
+        waves.append(1)
+        return real(*args, **kwargs)
+
+    out = {}
+    with mock.patch.object(harness, "policy_iteration", counting):
+        for wave_bytes, n_waves in ((1, max(len(eps_grid), len(magnitude_grid))), (1 << 60, 1)):
+            with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes):
+                waves.clear()
+                out[wave_bytes] = [harness._replication_metrics(ctx, rep) for rep in range(2)]
+                assert len(waves) == 2 * n_waves
+    for narrow, wide in zip(out[1], out[1 << 60]):
+        for a, b in zip(narrow, wide):  # losses, plain MSE, absorbing MSE
+            np.testing.assert_array_equal(a, b)
 
 
 def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:

@@ -9,8 +9,14 @@ covers the largest state space with unvisited pairs, ``grid-start-single`` a
 fixed start state, and ``twogoals-mixed`` the optimal-action branch
 (``p_optimal = 0.5``) with absorbing goals; all sweep 53 cells. Regenerate them only for a deliberate
 change to the sampled data or the metrics, and say so in the change log.
+
+``presets.sha256`` pins all 15 presets: one ``<preset> <sha256 of its CSV>``
+line each, for ``emit_csv`` of the preset at seed 1729, 5 replications and
+``workers=1``. It was written before the waves were sized by bytes, so it
+also pins that the wave layout does not move a byte.
 """
 
+import hashlib
 from pathlib import Path
 
 import pytest
@@ -27,3 +33,16 @@ def test_csv_bytes_match_golden(preset, tmp_path):
     out = tmp_path / f"{preset}.csv"
     emit_csv(run_experiment(cfg), out)
     assert out.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
+
+
+def test_every_preset_matches_its_digest(tmp_path):
+    want = dict(line.split() for line in (GOLDEN / "presets.sha256").read_text().splitlines())
+    presets = builtin_presets()
+    assert sorted(want) == sorted(presets)
+    differ = []
+    for name, cfg in presets.items():
+        out = tmp_path / f"{name}.csv"
+        emit_csv(run_experiment(override(cfg, master_seed=1729, replications=5, workers=1)), out)
+        if hashlib.sha256(out.read_bytes()).hexdigest() != want[name]:
+            differ.append(name)
+    assert differ == [], f"presets whose CSV bytes changed: {differ}"

@@ -160,11 +160,14 @@ class TestFailureHandling:
             return policy_iteration(problem)
 
         monkeypatch.setattr(harness, "policy_iteration", stuck)
-        # wave 0 of tiny_config is dirichlet, discount, eps_greedy and none at
-        # their first strength; problem 1 of it is the discount cell
+        # problem 1 of the first stacked call is the second cell of wave 0
+        cfg = tiny_config()
+        cells = sweep_cells(cfg)
+        width = harness._wave_width(cells, resolve_mdp(cfg).transition.nbytes)
+        method, strength = cells[sweep_waves(cells, width)[0][1]]
         with pytest.raises(RuntimeError, match=r"replication 0 \(child seed \d+\) failed:"
-                                               r" .* at cell\(s\) \(discount, 0\)"):
-            run_experiment(tiny_config())
+                                               rf" .* at cell\(s\) \({method}, {strength:g}\)"):
+            run_experiment(cfg)
 
 
 class TestWaves:
@@ -172,22 +175,33 @@ class TestWaves:
         cells = sweep_cells(tiny_config(methods=("discount", "none", "dirichlet"),
                                         eps_grid=(0.0, 0.5, 1.0)))
         # cells: discount 0..2, none 3, dirichlet 4..5
-        assert sweep_waves(cells) == [[0, 3, 4], [1, 5], [2]]
+        assert sweep_waves(cells, width=1) == [[0, 3, 4], [1, 5], [2]]
+        # wave j holds the next two strengths of every method, in output order
+        assert sweep_waves(cells, width=2) == [[0, 1, 3, 4, 5], [2]]
+        assert sweep_waves(cells, width=3) == [[0, 1, 2, 3, 4, 5]]
+
+    @pytest.mark.parametrize("preset", sorted(builtin_presets()))
+    def test_wave_width_follows_from_bytes(self, preset, monkeypatch):
+        # one cliff strength per method fills a wave; a grid or two-goals
+        # sweep fits in one
+        cfg = builtin_presets()[preset]
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        calls = []
+        real = harness.regularize
+        monkeypatch.setattr(harness, "regularize", lambda *args: calls.append(args) or real(*args))
+        harness._replication_metrics(ctx, 0)
+        assert len(calls) == (21 if cfg.mdp == "cliff" else 1)
+        assert sum(len(args[2]) for args in calls) == len(ctx.cells) == 53
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's
         # previous cell, evaluate in the true MDP; the waves give the same bits
+        # (on grid all cells share one wave and start cold)
         cfg = tiny_config(methods=("eps_greedy", "none", "dirichlet", "discount"),
                           collection=CollectionConfig(3, 6, 0.0, StartMode.fixed(0)))
         mdp = resolve_mdp(cfg)
-        true_problem = PlanningProblem.from_mdp(mdp)
-        pi_opt, _ = policy_iteration(true_problem)
-        v_opt = policy_evaluation(true_problem, pi_opt)
-        cells = tuple(sweep_cells(cfg))
-        ctx = harness._ReplicationContext(
-            mdp=mdp, true_problem=true_problem, pi_opt=pi_opt, v_opt=v_opt,
-            start_dist=cfg.collection.start_mode.distribution(mdp.n_states), cells=cells,
-            collection=cfg.collection, master_seed=cfg.master_seed)
+        ctx = harness._replication_context(cfg, mdp)
+        true_problem, pi_opt, v_opt, cells = ctx.true_problem, ctx.pi_opt, ctx.v_opt, ctx.cells
         for rep in range(3):
             got = np.stack(harness._replication_metrics(ctx, rep))
             data = generate_dataset(mdp, pi_opt, cfg.collection, child_seed(cfg.master_seed, rep))
