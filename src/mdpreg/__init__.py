@@ -5,10 +5,8 @@ exact policy iteration over the regularized models, and a deterministic
 Monte-Carlo harness measuring policy loss and transition-matrix MSE.
 """
 
-from .data import (CollectionConfig, Dataset, StartMode, generate_dataset,
-                   write_dataset_csv)
-from .environments import (DEFAULT_GRID_TOPOLOGY, GridNoiseConfig, MdpSpecError,
-                           MdpValidationError, TopologyConfig, build_cliff_walk,
+from .data import CollectionConfig, Dataset, StartMode, generate_dataset
+from .environments import (GridNoiseConfig, MdpSpecError, build_cliff_walk,
                            build_interconnected_grid, build_two_goals,
                            cliff_near_goal_states, load_mdp_spec, save_mdp_spec)
 from .estimation import CountsTensor, EstimatedModel, count, mle_model
@@ -19,9 +17,7 @@ from .harness import (ConfigError, ExperimentConfig, ResultRow, builtin_presets,
 from .mdp import DEFAULT_GAMMA, TabularMdp, apply_reward_shift, validate_mdp
 from .planning import (PlanningProblem, PolicyIterationError, greedy_from_q,
                        policy_evaluation, policy_iteration, q_from_values, q_gaps)
-from .regularizers import (RegularizedModel, alpha_sum_from_eps, eps_from_gammas,
-                           eps_from_prior, gamma_l_from_eps, implied_prior_magnitude,
-                           regularize)
+from .regularizers import RegularizedModel, implied_prior_magnitude, regularize
 from .seeding import child_seed
 
 __version__ = "0.1.0"

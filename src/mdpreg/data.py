@@ -12,7 +12,6 @@ time.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,6 +95,8 @@ class CollectionConfig:
     def __post_init__(self):
         if problems := self.problems(self.n_trajectories, self.trajectory_length, self.p_optimal):
             raise ValueError("; ".join(problems))
+        # -0.0 == 0.0 draws the same data, so it must hash as 0.0 (p_optimal >= 0 here)
+        object.__setattr__(self, "p_optimal", abs(self.p_optimal))
 
     @staticmethod
     def problems(n_trajectories: int, trajectory_length: int, p_optimal: float) -> list[str]:
@@ -137,17 +138,3 @@ def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig
     for arr in arrays:
         arr.setflags(write=False)
     return Dataset(*arrays)
-
-
-def write_dataset_csv(path, datasets: Sequence[Dataset]) -> None:
-    """Dump datasets as one CSV row per step, indexed by replication."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["replication", "trajectory", "step", "state", "action",
-                         "reward", "next_state"])
-        for rep, dataset in enumerate(datasets):
-            columns = (dataset.states.tolist(), dataset.actions.tolist(),
-                       dataset.rewards.tolist(), dataset.next_states.tolist())
-            for ti, traj in enumerate(zip(*columns)):
-                for si, step in enumerate(zip(*traj)):
-                    writer.writerow([rep, ti, si, *step])

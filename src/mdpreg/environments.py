@@ -36,16 +36,12 @@ TWO_GOALS_LARGE = 1.0    # arrival reward at state 11
 
 
 class MdpSpecError(ValueError):
-    """Raised when an MDP spec file cannot be parsed into a TabularMdp;
+    """Raised when an MDP spec file cannot be parsed into a valid TabularMdp;
     ``problems`` holds one message per problem."""
 
     def __init__(self, problems: str | list[str]):
         self.problems = [problems] if isinstance(problems, str) else problems
         super().__init__("; ".join(self.problems))
-
-
-class MdpValidationError(MdpSpecError):
-    """Raised when a parsed MDP spec violates structural invariants."""
 
 
 @dataclass(frozen=True)
@@ -62,42 +58,28 @@ class GridNoiseConfig:
             raise ValueError(f"reward_std must be nonnegative, got {self.reward_std}")
 
 
-@dataclass(frozen=True)
-class TopologyConfig:
-    """Hand-specified dense topology: out-neighbor sets and state rewards.
-
-    ``out_neighbors[s][a]`` lists the states reachable from s under action
-    a; each transition row is uniform over that set.
-    """
-
-    out_neighbors: tuple[tuple[tuple[int, ...], ...], ...]
-    reward_means: tuple[float, ...]
-    reward_std: float = 0.25
-
-
 # Stand-in for the dense 10-state example whose exact arrow diagram is not
 # machine-readable; generated once (seeded) and frozen here so results are
-# reproducible and the topology is swappable via TopologyConfig.
-DEFAULT_GRID_TOPOLOGY = TopologyConfig(
-    out_neighbors=(
-        ((5, 6, 7), (2, 6, 7), (2, 7, 9)),
-        ((1, 6, 7), (2, 3, 6), (2, 4, 8)),
-        ((4, 5, 8), (6, 8, 9), (1, 3, 8)),
-        ((0, 1, 4), (1, 4, 9), (6, 7, 8)),
-        ((2, 3, 4), (0, 1, 8), (1, 7, 9)),
-        ((0, 5, 8), (2, 4, 9), (4, 8, 9)),
-        ((0, 4, 6), (4, 5, 6), (3, 5, 6)),
-        ((0, 3, 5), (1, 3, 8), (3, 5, 9)),
-        ((3, 4, 5), (1, 5, 8), (0, 2, 8)),
-        ((0, 3, 9), (0, 6, 9), (0, 6, 9)),
-    ),
-    reward_means=(0.85, 0.94, 0.9, 0.57, 0.15, 0.19, 0.93, 0.55, 0.18, 0.88),
-    reward_std=0.25,
+# reproducible. GRID_OUT_NEIGHBORS[s][a] lists the states reachable from s
+# under a; each transition row is uniform over that set.
+GRID_OUT_NEIGHBORS = (
+    ((5, 6, 7), (2, 6, 7), (2, 7, 9)),
+    ((1, 6, 7), (2, 3, 6), (2, 4, 8)),
+    ((4, 5, 8), (6, 8, 9), (1, 3, 8)),
+    ((0, 1, 4), (1, 4, 9), (6, 7, 8)),
+    ((2, 3, 4), (0, 1, 8), (1, 7, 9)),
+    ((0, 5, 8), (2, 4, 9), (4, 8, 9)),
+    ((0, 4, 6), (4, 5, 6), (3, 5, 6)),
+    ((0, 3, 5), (1, 3, 8), (3, 5, 9)),
+    ((3, 4, 5), (1, 5, 8), (0, 2, 8)),
+    ((0, 3, 9), (0, 6, 9), (0, 6, 9)),
 )
+GRID_REWARD_MEANS = (0.85, 0.94, 0.9, 0.57, 0.15, 0.19, 0.93, 0.55, 0.18, 0.88)
+GRID_REWARD_STD = 0.25
 
 
 def _slip_grid(noise: GridNoiseConfig, n_actions: int, move, start: np.ndarray,
-               absorbing: set[int], gamma: float, name: str) -> TabularMdp:
+               absorbing: set[int], name: str) -> TabularMdp:
     """The MDP in which action ``a`` executes move ``d`` with probability
     ``slip_prob / n_actions``, plus ``1 - slip_prob`` when ``d == a``;
     ``move(s, d)`` gives the destination and arrival reward of move ``d``
@@ -117,7 +99,7 @@ def _slip_grid(noise: GridNoiseConfig, n_actions: int, move, start: np.ndarray,
             dest, reward = move(s, d)
             t[:, s, dest] += weights[:, d]
             r_mean[s] += weights[:, d] * reward
-    return TabularMdp(t, r_mean, r_std, gamma, start, absorbing=absorbing, name=name)
+    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, start, absorbing=absorbing, name=name)
 
 
 def _cliff_move(state: int, direction: int) -> tuple[int, float]:
@@ -130,8 +112,7 @@ def _cliff_move(state: int, direction: int) -> tuple[int, float]:
     return (CLIFF_START, CLIFF_REWARD) if dest in CLIFF_CELLS else (dest, STEP_REWARD)
 
 
-def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig(),
-                     gamma: float = DEFAULT_GAMMA) -> TabularMdp:
+def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig()) -> TabularMdp:
     """4x12 cliff-walking grid: catastrophic -100 cells along the bottom row.
 
     Actions are left/right/up/down. Any move whose destination is a cliff
@@ -140,24 +121,23 @@ def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig(),
     """
     start = np.zeros(CLIFF_N_STATES)
     start[CLIFF_START] = 1.0
-    return _slip_grid(noise, 4, _cliff_move, start, {CLIFF_GOAL}, gamma, "cliff_walk")
+    return _slip_grid(noise, 4, _cliff_move, start, {CLIFF_GOAL}, "cliff_walk")
 
 
-def cliff_near_goal_states(radius: int = 2) -> tuple[int, ...]:
-    """States within Manhattan distance ``radius`` of the goal, minus cliff cells."""
+def cliff_near_goal_states() -> tuple[int, ...]:
+    """States within Manhattan distance 2 of the goal, minus cliff cells."""
     goal_row, goal_col = divmod(CLIFF_GOAL, CLIFF_WIDTH)
     states = []
     for s in range(CLIFF_N_STATES):
         if s in CLIFF_CELLS:
             continue
         row, col = divmod(s, CLIFF_WIDTH)
-        if abs(row - goal_row) + abs(col - goal_col) <= radius:
+        if abs(row - goal_row) + abs(col - goal_col) <= 2:
             states.append(s)
     return tuple(states)
 
 
-def build_two_goals(noise: GridNoiseConfig = GridNoiseConfig(),
-                    gamma: float = DEFAULT_GAMMA) -> TabularMdp:
+def build_two_goals(noise: GridNoiseConfig = GridNoiseConfig()) -> TabularMdp:
     """12-state line with a small reward (0.10) at one end, a large (1) at the other.
 
     Actions are left/right/up; "up" keeps the agent in place. Both goal
@@ -174,36 +154,24 @@ def build_two_goals(noise: GridNoiseConfig = GridNoiseConfig(),
 
     start = np.zeros(n)
     start[1:n - 1] = 1.0 / (n - 2)
-    return _slip_grid(noise, 3, move, start, {0, n - 1}, gamma, "two_goals")
+    return _slip_grid(noise, 3, move, start, {0, n - 1}, "two_goals")
 
 
-def build_interconnected_grid(topology: TopologyConfig = DEFAULT_GRID_TOPOLOGY,
-                              gamma: float = DEFAULT_GAMMA) -> TabularMdp:
+def build_interconnected_grid() -> TabularMdp:
     """Densely connected MDP: each row is uniform over its out-neighbor set."""
-    n = len(topology.reward_means)
-    n_actions = len(topology.out_neighbors[0])
-    if len(topology.out_neighbors) != n:
-        raise ValueError(
-            f"out_neighbors has {len(topology.out_neighbors)} states, expected {n}"
-        )
-    arrival = np.asarray(topology.reward_means, dtype=float)
-
+    n, n_actions = len(GRID_REWARD_MEANS), len(GRID_OUT_NEIGHBORS[0])
+    arrival = np.asarray(GRID_REWARD_MEANS)
     t = np.zeros((n_actions, n, n))
     r_mean = np.zeros((n, n_actions))
-    for s, per_action in enumerate(topology.out_neighbors):
-        if len(per_action) != n_actions:
-            raise ValueError(f"state {s} defines {len(per_action)} actions, expected {n_actions}")
+    for s, per_action in enumerate(GRID_OUT_NEIGHBORS):
         for a, dests in enumerate(per_action):
-            if len(dests) == 0:
-                raise ValueError(f"state {s} action {a} has an empty out-neighbor set")
             p = 1.0 / len(dests)
             for dest in dests:
                 t[a, s, dest] += p
                 r_mean[s, a] += p * arrival[dest]
-
-    r_std = np.full((n, n_actions), topology.reward_std)
-    start = np.full(n, 1.0 / n)
-    return TabularMdp(t, r_mean, r_std, gamma, start, name="interconnected_grid")
+    r_std = np.full((n, n_actions), GRID_REWARD_STD)
+    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, np.full(n, 1.0 / n),
+                      name="interconnected_grid")
 
 
 _SPEC_FIELDS = ("name", "n_states", "n_actions", "transition", "reward_mean",
@@ -264,7 +232,7 @@ def load_mdp_spec(path) -> TabularMdp:
     """Load and validate a JSON MDP spec; round-trips save_mdp_spec exactly.
 
     Raises MdpSpecError listing every schema problem (a wrong type or table
-    shape) and MdpValidationError listing all violated invariants.
+    shape), or else every violated invariant.
     """
     doc = read_json_object(path, MdpSpecError)
     missing = [f for f in _SPEC_FIELDS if f not in doc]
@@ -303,5 +271,5 @@ def load_mdp_spec(path) -> TabularMdp:
                      gamma, tables["start_dist"], absorbing=set(absorbing), name=doc["name"])
     violations = validate_mdp(mdp)
     if violations:
-        raise MdpValidationError(violations)
+        raise MdpSpecError(violations)
     return mdp

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
@@ -84,6 +85,8 @@ class ExperimentConfig:
         for name in ("eps_grid", "magnitude_grid"):
             grid = tuple(abs(v) if v == 0 else v for v in getattr(self, name))
             object.__setattr__(self, name, grid)
+        if self.gamma == 0:
+            object.__setattr__(self, "gamma", abs(self.gamma))
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,8 @@ def validate_experiment_config(cfg: ExperimentConfig) -> list[str]:
     for m in cfg.magnitude_grid:
         if m < 0:
             problems.append(f"prior magnitude {m} is negative")
+        elif not m < np.inf:
+            problems.append(f"prior magnitude {m} is not finite")
     if len(set(cfg.magnitude_grid)) != len(cfg.magnitude_grid):
         problems.append("magnitude_grid has duplicate values")
     if cfg.replications < 1:
@@ -284,12 +289,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     ctx = _replication_context(cfg, mdp)
     task = partial(_replication_task, ctx)
     reps = range(cfg.replications)
-    if cfg.workers <= 1:
+    # the pool forks all its processes at once: never more than can run or have work
+    workers = min(cfg.workers, cfg.replications, os.cpu_count() or 1)
+    if workers <= 1:
         results = [task(r) for r in reps]
     else:
-        chunk = max(1, cfg.replications // (cfg.workers * 8))
+        chunk = max(1, cfg.replications // (workers * 8))
         results = []
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             try:
                 for result in pool.map(task, reps, chunksize=chunk):
                     results.append(result)

@@ -45,10 +45,13 @@ class PlanningProblem:
         object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if np.any(self.t < -1e-12):
-            raise ValueError("transition matrices must be nonnegative")
-        if np.any(self.t @ np.ones(self.n_states) > 1.0 + 1e-9):  # row sums
+        # "not all ok" rather than "any bad": NaN fails every comparison
+        if not (self.t >= -1e-12).all():
+            raise ValueError("transition matrices must be finite and nonnegative")
+        if not (self.t @ np.ones(self.n_states) <= 1.0 + 1e-9).all():  # row sums
             raise ValueError("transition rows must sum to at most 1")
+        if not np.isfinite(self.r).all():
+            raise ValueError("rewards must be finite")
 
     @property
     def n_states(self) -> int:
@@ -87,9 +90,9 @@ def q_from_values(problem: PlanningProblem, v: np.ndarray) -> np.ndarray:
     return np.swapaxes(problem.r.T + problem.gamma * tv, -1, -2)
 
 
-def greedy_from_q(q: np.ndarray, tie_tol: float = TIE_TOL) -> np.ndarray:
-    """Lowest action index within tie_tol of each row's maximum."""
-    cutoff = q.max(axis=-1, keepdims=True) - tie_tol
+def greedy_from_q(q: np.ndarray) -> np.ndarray:
+    """Lowest action index within TIE_TOL of each row's maximum."""
+    cutoff = q.max(axis=-1, keepdims=True) - TIE_TOL
     return (q >= cutoff).argmax(axis=-1)
 
 
@@ -101,8 +104,7 @@ def q_gaps(q: np.ndarray) -> np.ndarray:
     return top2[:, 1] - top2[:, 0]
 
 
-def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
-                     initial_policy: np.ndarray | None = None
+def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None = None
                      ) -> tuple[np.ndarray, np.ndarray]:
     """Howard policy iteration; returns the optimal policy and its Q-function.
 
@@ -112,7 +114,7 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
     and switching on that noise can cycle forever. So every policy change
     increases the value by more than round-off and the sweep cannot cycle.
     The returned policy is re-canonicalized through greedy_from_q,
-    breaking all ties toward the lowest action index within tie_tol.
+    breaking all ties toward the lowest action index within TIE_TOL.
 
     A stack returns (cells, n_states) policies and (cells, n_states,
     n_actions) Q-functions, with ``initial_policy`` shared or one per problem.
@@ -138,7 +140,7 @@ def policy_iteration(problem: PlanningProblem, tie_tol: float = TIE_TOL,
             active = active[~stable]
             if active.size == 0:
                 q = np.swapaxes(q_final, 1, 2)
-                pi = greedy_from_q(q, tie_tol)
+                pi = greedy_from_q(q)
                 return (pi, q) if problem.t.ndim == 4 else (pi[0], q[0])
             sub = replace(problem, t=t[active])
     raise PolicyIterationError(active.tolist())

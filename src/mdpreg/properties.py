@@ -65,8 +65,8 @@ def _estimated_from_mdp(mdp: TabularMdp) -> EstimatedModel:
     return EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy())
 
 
-def _policies_agree_tie_free(pi_a, q_a, pi_b, q_b, tie_tol=TIE_TOL) -> bool:
-    compared = (q_gaps(q_a) > tie_tol) & (q_gaps(q_b) > tie_tol)
+def _policies_agree_tie_free(pi_a, q_a, pi_b, q_b) -> bool:
+    compared = (q_gaps(q_a) > TIE_TOL) & (q_gaps(q_b) > TIE_TOL)
     return bool(np.all(pi_a[compared] == pi_b[compared]))
 
 

@@ -55,7 +55,7 @@ def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
     ``action_mean`` is the MLE's mean over actions, eps_greedy's T_other."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "dirichlet" and strength >= 0:
+    if method == "dirichlet" and 0 <= strength < np.inf:
         # uniform prior of mass m per pair: eps = m / (n_sa + m), and 0 for pairs
         # with neither counts nor mass, which keep the MLE's uniform row
         totals = counts.visit_count.T[:, :, None] + strength
@@ -66,7 +66,8 @@ def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
     if method == "none" and strength == 0.0:
         return 0.0, 0.0
     raise ValueError(f"strength {strength} is out of range for method {method!r}: eps is"
-                     " in [0, 1], a prior magnitude >= 0, and 'none' takes strength 0 only")
+                     " in [0, 1], a prior magnitude >= 0 and finite, and 'none' takes"
+                     " strength 0 only")
 
 
 def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
@@ -105,34 +106,3 @@ def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,
     if count_sum < 0:
         raise ValueError("count_sum must be nonnegative")
     return (gamma - gamma_l) / gamma_l * (count_sum / n_states)
-
-
-def eps_from_gammas(gamma: float, gamma_l: float) -> float:
-    """Blend weight equivalent to lowering the discount: (gamma - gamma_l) / gamma."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-    if not 0.0 <= gamma_l <= gamma:
-        raise ValueError(f"need 0 <= gamma_l <= gamma, got gamma={gamma}, gamma_l={gamma_l}")
-    return (gamma - gamma_l) / gamma
-
-
-def gamma_l_from_eps(gamma: float, eps: float) -> float:
-    """Inverse of eps_from_gammas."""
-    if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"eps must be in [0, 1], got {eps}")
-    return (1.0 - eps) * gamma
-
-
-def eps_from_prior(alpha_sum: float, count_sum: float) -> float:
-    """Blend weight of the posterior mean: sum(alpha) / (sum(c) + sum(alpha))."""
-    denom = count_sum + alpha_sum
-    if denom <= 0.0:
-        raise ValueError("count_sum + alpha_sum must be positive")
-    return alpha_sum / denom
-
-
-def alpha_sum_from_eps(eps: float, count_sum: float) -> float:
-    """Inverse of eps_from_prior: the prior mass realizing a given blend weight."""
-    if not 0.0 <= eps < 1.0:
-        raise ValueError(f"eps must be in [0, 1), got {eps}")
-    return eps / (1.0 - eps) * count_sum

@@ -1,6 +1,6 @@
 """Property tests for the batched paths: stacked policy iteration, the blend
 kernel behind ``regularize``, the batched ``transition_mse`` and the wave
-width of a replication; and for the config loader on arbitrary JSON."""
+width of a replication; and for the config and spec loaders on arbitrary JSON."""
 
 import json
 import tempfile
@@ -14,8 +14,10 @@ from hypothesis import strategies as st
 import mdpreg.harness as harness
 import mdpreg.planning as planning
 from mdpreg import (CollectionConfig, ConfigError, CountsTensor, ExperimentConfig,
-                    PlanningProblem, StartMode, TabularMdp, load_experiment_config,
-                    mle_model, policy_iteration, regularize, transition_mse)
+                    MdpSpecError, PlanningProblem, StartMode, TabularMdp, build_two_goals,
+                    load_experiment_config, load_mdp_spec, mle_model, policy_iteration,
+                    regularize, save_mdp_spec, transition_mse)
+from mdpreg.environments import _SPEC_FIELDS
 from mdpreg.planning import PolicyIterationError
 
 SETTINGS = settings(max_examples=60, deadline=None)
@@ -280,3 +282,41 @@ def test_config_loader_raises_only_config_errors(doc):
             load_experiment_config(path)
         except ConfigError as exc:
             assert exc.problems and all(isinstance(p, str) for p in exc.problems)
+
+
+DROP = object()  # marks a spec field removed from the file
+# (k, leaf): the field keeps its shape, with its k-th number (mod the count) set to
+# leaf, so that the file parses and validate_mdp judges it
+POKE = st.tuples(st.integers(0, 10**4),
+                 st.sampled_from([np.nan, np.inf, -np.inf, -1, 0, 5, 0.5]))
+
+
+def poke(value, k, leaf):
+    if not isinstance(value, list):
+        return leaf
+    arr = np.array(value, dtype=object)
+    if arr.size == 0:
+        return [leaf]
+    arr.flat[k % arr.size] = leaf
+    return arr.tolist()
+
+
+@SETTINGS
+@given(edits=st.dictionaries(st.sampled_from(_SPEC_FIELDS),
+                             st.just(DROP) | POKE | JSON
+                             | st.sampled_from([np.nan, np.inf, -np.inf]), max_size=3))
+def test_spec_loader_raises_only_spec_errors(edits):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mdp.json"
+        save_mdp_spec(build_two_goals(), path)
+        doc = json.loads(path.read_text())
+        for field, value in edits.items():
+            if value is DROP:
+                del doc[field]
+            else:
+                doc[field] = poke(doc[field], *value) if isinstance(value, tuple) else value
+        path.write_text(json.dumps(doc))
+        try:
+            assert isinstance(load_mdp_spec(path), TabularMdp)
+        except MdpSpecError as exc:
+            assert exc.problems and all(isinstance(p, str) and p for p in exc.problems)

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpreg import (CollectionConfig, StartMode, TabularMdp, child_seed,
-                    generate_dataset, write_dataset_csv)
+from mdpreg import CollectionConfig, StartMode, TabularMdp, child_seed, generate_dataset
 
 FIELDS = ("states", "actions", "rewards", "next_states")
 
@@ -144,23 +143,6 @@ def test_collection_config_validation():
         CollectionConfig(10, 0)
     with pytest.raises(ValueError):
         CollectionConfig(10, 10, p_optimal=1.5)
-
-
-def test_dataset_csv_dump(tmp_path):
-    mdp = make_mdp()
-    cfg = CollectionConfig(2, 3)
-    datasets = [generate_dataset(mdp, greedy_zero(mdp), cfg, s) for s in (0, 1)]
-    path = tmp_path / "steps.csv"
-    write_dataset_csv(path, datasets)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "replication,trajectory,step,state,action,reward,next_state"
-    assert len(lines) == 1 + 2 * 2 * 3
-    rep, traj, step, state, action, reward, nxt = lines[1].split(",")
-    first = datasets[0]
-    assert (int(rep), int(traj), int(step)) == (0, 0, 0)
-    assert (int(state), int(action), int(nxt)) == (first.states[0, 0], first.actions[0, 0],
-                                                   first.next_states[0, 0])
-    assert float(reward) == first.rewards[0, 0]
 
 
 # --- the lockstep generator against per-trajectory scalar loops -------------

@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpreg import (GridNoiseConfig, MdpSpecError, MdpValidationError,
-                    PlanningProblem, TabularMdp, TopologyConfig, build_cliff_walk,
-                    build_interconnected_grid, build_two_goals,
+from mdpreg import (GridNoiseConfig, MdpSpecError, PlanningProblem, TabularMdp,
+                    build_cliff_walk, build_interconnected_grid, build_two_goals,
                     cliff_near_goal_states, load_mdp_spec, policy_evaluation,
                     policy_iteration, save_mdp_spec, validate_mdp)
-from mdpreg.environments import (CLIFF_CELLS, CLIFF_GOAL, CLIFF_START,
-                                 DEFAULT_GRID_TOPOLOGY)
+from mdpreg.environments import (CLIFF_CELLS, CLIFF_GOAL, CLIFF_START, GRID_OUT_NEIGHBORS,
+                                 GRID_REWARD_MEANS)
 
 LEFT, RIGHT, UP, DOWN = 0, 1, 2, 3
 NOISELESS = GridNoiseConfig(slip_prob=0.0, reward_std=0.0)
@@ -136,14 +135,13 @@ class TestTwoGoals:
 
 class TestInterconnectedGrid:
     def test_uniform_fan_out(self):
-        topo = TopologyConfig(
-            out_neighbors=((((1, 2, 3)), (4,)),) + ((((0, 1)), (0,)),) * 4,
-            reward_means=(0.1, 0.2, 0.3, 0.4, 0.5),
-            reward_std=0.0,
-        )
-        mdp = build_interconnected_grid(topo)
-        np.testing.assert_allclose(mdp.transition[0, 0, [1, 2, 3]], 1 / 3)
-        assert mdp.transition[1, 0, 4] == 1.0  # single out-neighbor: unit row
+        # every row is uniform over its listed out-neighbors and zero elsewhere
+        mdp = build_interconnected_grid()
+        for s, per_action in enumerate(GRID_OUT_NEIGHBORS):
+            for a, dests in enumerate(per_action):
+                want = np.zeros(mdp.n_states)
+                want[list(dests)] = 1 / len(dests)
+                np.testing.assert_allclose(mdp.transition[a, s], want, rtol=0, atol=1e-15)
 
     def test_rows_sum_to_one(self):
         mdp = build_interconnected_grid()
@@ -151,15 +149,9 @@ class TestInterconnectedGrid:
 
     def test_rewards_average_over_arrivals(self):
         mdp = build_interconnected_grid()
-        means = np.asarray(DEFAULT_GRID_TOPOLOGY.reward_means)
-        dests = DEFAULT_GRID_TOPOLOGY.out_neighbors[0][0]
+        means = np.asarray(GRID_REWARD_MEANS)
+        dests = GRID_OUT_NEIGHBORS[0][0]
         assert mdp.reward_mean[0, 0] == pytest.approx(means[list(dests)].mean())
-
-    def test_empty_out_neighbor_set_rejected(self):
-        topo = TopologyConfig(out_neighbors=(((), (0,)), ((0,), (1,))),
-                              reward_means=(0.0, 1.0))
-        with pytest.raises(ValueError, match="empty out-neighbor"):
-            build_interconnected_grid(topo)
 
 
 class TestSpecFiles:
@@ -183,7 +175,7 @@ class TestSpecFiles:
         doc = json.loads(path.read_text())
         doc["transition"][0][5] = [0.9 if p == 1.0 else 0.0 for p in doc["transition"][0][5]]
         path.write_text(json.dumps(doc))
-        with pytest.raises(MdpValidationError, match="row 5 sums to 0.9"):
+        with pytest.raises(MdpSpecError, match="row 5 sums to 0.9"):
             load_mdp_spec(path)
 
     def test_missing_gamma_names_field(self, tmp_path):

@@ -45,6 +45,30 @@ class TestConfig:
         with pytest.raises(ConfigError):
             run_experiment(tiny_config(replications=0))
 
+    def test_non_finite_magnitudes_rejected_before_work(self):
+        # only the library route reaches this: JSON carries no NaN or infinity
+        with pytest.raises(ConfigError) as err:
+            run_experiment(tiny_config(magnitude_grid=(np.inf, 1.0, np.nan, -np.inf)))
+        assert err.value.problems == ["prior magnitude inf is not finite",
+                                      "prior magnitude nan is not finite",
+                                      "prior magnitude -inf is negative"]
+
+    def test_signed_zero_gamma_and_p_optimal_hash_as_zero(self, tmp_path):
+        # equal configs hash equal, built in Python and loaded from JSON
+        cfgs = [tiny_config(gamma=zero, collection=CollectionConfig(5, 8, zero))
+                for zero in (0.0, -0.0)]
+        for i, zero in enumerate((0.0, -0.0)):
+            path = tmp_path / f"exp{i}.json"
+            path.write_text(json.dumps({
+                "mdp": "grid", "gamma": zero, "replications": 6, "master_seed": 777,
+                "methods": ["dirichlet", "discount", "eps_greedy", "none"],
+                "eps_grid": [0.0, 0.5], "magnitude_grid": [0.0, 10.0],
+                "collection": {"n_trajectories": 5, "trajectory_length": 8,
+                               "p_optimal": zero}}))
+            cfgs.append(load_experiment_config(path))
+        assert cfgs[0] == cfgs[1] == cfgs[2] == cfgs[3]
+        assert len({config_hash(cfg) for cfg in cfgs}) == 1
+
     def test_hash_ignores_out_and_workers(self):
         a = tiny_config()
         b = tiny_config(out="x.csv", workers=8)
@@ -89,10 +113,44 @@ class TestDeterminism:
     def test_same_config_reproduces_rows(self):
         assert run_experiment(tiny_config()) == run_experiment(tiny_config())
 
-    def test_worker_count_does_not_change_rows(self):
+    def test_worker_count_does_not_change_rows(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)  # a pool even on one CPU
         serial = run_experiment(tiny_config(workers=1))
         parallel = run_experiment(tiny_config(workers=2))
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers, replications, cpus, pool, chunk", [
+        (64, 3, 8, 3, 1),      # no more processes than replications
+        (64, 100, 4, 4, 3),    # nor than CPUs; the chunk follows the pool size
+        (2, 6, 1, None, None),  # one CPU runs serially: no pool at all
+        (2, 6, None, None, None),  # an unknown CPU count counts as one
+        (2, 32, 2, 2, 2),      # two workers on two CPUs keep their pool
+    ])
+    def test_pool_size_is_capped(self, monkeypatch, workers, replications, cpus, pool,
+                                 chunk):
+        # a fake pool that records its size and maps in-process: no process starts
+        made = []
+
+        class FakePool:
+            def __init__(self, max_workers):
+                made.append([max_workers])
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                made[-1].append(chunksize)
+                return map(fn, items)
+
+        cfg = tiny_config(workers=workers, replications=replications)
+        serial = run_experiment(override(cfg, workers=1))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert run_experiment(cfg) == serial
+        assert made == ([] if pool is None else [[pool, chunk]])
 
     def test_csv_bytes_reproduce(self, tmp_path):
         rows = run_experiment(tiny_config())
@@ -132,6 +190,7 @@ class TestFailureHandling:
             return real(mdp, optimal, cfg, master_seed)
 
         monkeypatch.setattr(harness, "generate_dataset", flaky)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
             run_experiment(tiny_config(workers=2))
 
@@ -149,12 +208,14 @@ class TestFailureHandling:
             return real(mdp, optimal, cfg, master_seed)
 
         monkeypatch.setattr(harness, "generate_dataset", dying)
+        # two processes even on one CPU: serially, the exit would end this process
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, chunk of"
                                                rf" replications 0-1\) was not received"):
             run_experiment(tiny_config(workers=2, replications=32))
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
-        def stuck(problem, tie_tol=None, initial_policy=None):
+        def stuck(problem, initial_policy=None):
             if problem.t.ndim == 4:  # a wave; the true-MDP solve is unstacked
                 raise PolicyIterationError([1])
             return policy_iteration(problem)

@@ -61,7 +61,7 @@ class TestGreedy:
         assert greedy_from_q(np.array([[2.0, 2.0]]))[0] == 0
 
     def test_tolerance_absorbs_noise(self):
-        assert greedy_from_q(np.array([[2.0, 2.0 + 1e-12]]), tie_tol=1e-6)[0] == 0
+        assert greedy_from_q(np.array([[2.0, 2.0 + 1e-12]]))[0] == 0
 
 
 class TestPolicyIteration:
@@ -147,6 +147,18 @@ class TestPlanningProblemValidation:
         t = np.array([[[1.5, -0.5], [0.0, 1.0]]])
         with pytest.raises(ValueError, match="nonnegative"):
             PlanningProblem(t, np.zeros((2, 1)), 0.9)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_transitions_must_be_finite(self, value):
+        # NaN fails every comparison, so a check written as "any bad" lets it through
+        t = np.array([[[0.5, 0.5], [0.0, 1.0]]])
+        t[0, 0, 1] = value
+        with pytest.raises(ValueError, match="nonnegative|at most 1"):
+            PlanningProblem(t, np.zeros((2, 1)), 0.9)
+
+    def test_rewards_must_be_finite(self):
+        with pytest.raises(ValueError, match="rewards must be finite"):
+            PlanningProblem(np.ones((1, 1, 1)), np.array([[np.nan]]), 0.9)
 
 
 def lowered_and_blended(mdp, eps):

@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpreg import (CountsTensor, PlanningProblem, alpha_sum_from_eps, eps_from_gammas,
-                    eps_from_prior, gamma_l_from_eps, implied_prior_magnitude, mle_model,
-                    regularize)
+from mdpreg import (CountsTensor, PlanningProblem, implied_prior_magnitude, mle_model,
+                    policy_iteration, regularize)
 from mdpreg.estimation import EstimatedModel
-from mdpreg.properties import random_uniform_visit_counts
+from mdpreg.properties import random_mdp, random_uniform_visit_counts
 from tests.test_batched import random_counts
 
 GAMMA = 0.95
@@ -61,6 +60,13 @@ class TestDirichlet:
         with pytest.raises(ValueError, match="prior magnitude >= 0"):
             dirichlet(counts, -1.0)
 
+    @pytest.mark.parametrize("m", [np.inf, np.nan])
+    def test_non_finite_alpha_rejected(self, m):
+        # inf / inf would blend NaN rows into the stack
+        counts = counts_from_rows([[1, 0], [0, 1]])
+        with pytest.raises(ValueError, match="prior magnitude >= 0 and finite"):
+            dirichlet(counts, m)
+
     def test_matrix_form_under_uniform_visits(self):
         # with equal row totals the per-pair blend is the exact matrix blend
         rng = np.random.default_rng(0)
@@ -78,11 +84,12 @@ class TestDirichlet:
            m=st.just(0.0) | st.floats(0.0, 1e6))
     def test_regularize_is_the_uniform_prior_posterior_mean(self, seed, n, n_actions,
                                                             unvisited, m):
-        # (c + m/N) / (n_sa + m) entry by entry; the uniform row where n_sa + m == 0
+        # (c + m/N) / (n_sa + m) entry by entry, as (N c + m) / (N (n_sa + m)) so that
+        # a subnormal m does not underflow in m/N; the uniform row where n_sa + m == 0
         counts = random_counts(seed, n, n_actions, unvisited)
         n_sa = counts.visit_count[:, :, None]
         want = np.full(counts.c.shape, 1.0 / n)
-        np.divide(counts.c + m / n, n_sa + m, out=want, where=n_sa + m > 0)
+        np.divide(n * counts.c + m, n * (n_sa + m), out=want, where=n_sa + m > 0)
         got = dirichlet(counts, m)
         np.testing.assert_allclose(got.t_reg, np.moveaxis(want, 1, 0), rtol=0, atol=1e-15)
 
@@ -183,30 +190,23 @@ class TestConversions:
         with pytest.raises(ValueError, match="singular"):
             implied_prior_magnitude(0.9, 0.0, 10, 5)
 
-    def test_eps_from_gammas(self):
-        assert eps_from_gammas(0.9, 0.9) == 0.0
-        assert eps_from_gammas(0.8, 0.4) == pytest.approx(0.5)
-
-    def test_eps_from_prior(self):
-        assert eps_from_prior(5.0, 15.0) == pytest.approx(0.25)
-
     @pytest.mark.parametrize("eps", [0.0, 0.1, 0.5, 0.95])
     def test_gamma_round_trip(self, eps):
-        gamma = 0.9
-        assert eps_from_gammas(gamma, gamma_l_from_eps(gamma, eps)) == \
-            pytest.approx(eps, abs=1e-12)
+        # the discount blend at eps has the Q-function of the MLE at (1 - eps) * gamma
+        mdp = random_mdp(np.random.default_rng(3), 4, 2, gamma=0.9)
+        est = EstimatedModel(mdp.transition, mdp.reward_mean)
+        reg = regularize(est, None, "discount", eps, mdp.gamma)
+        _, q_blend = policy_iteration(PlanningProblem.from_regularized(reg))
+        lowered = PlanningProblem(est.t_hat, est.r_hat, (1 - eps) * mdp.gamma)
+        np.testing.assert_allclose(q_blend, policy_iteration(lowered)[1], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("eps", [0.0, 0.25, 0.6])
     def test_prior_round_trip(self, eps):
-        count_sum = 40.0
-        assert eps_from_prior(alpha_sum_from_eps(eps, count_sum), count_sum) == \
-            pytest.approx(eps, abs=1e-12)
-
-    def test_zero_denominators_rejected(self):
-        with pytest.raises(ValueError):
-            eps_from_gammas(0.0, 0.0)
-        with pytest.raises(ValueError):
-            eps_from_prior(0.0, 0.0)
+        # a uniform prior of mass eps / (1 - eps) * n_sa blends with weight eps
+        counts = random_uniform_visit_counts(np.random.default_rng(5), 4, 2, row_total=40)
+        want = (1 - eps) * mle_model(counts).t_hat + eps / 4
+        np.testing.assert_allclose(dirichlet(counts, eps / (1 - eps) * 40).t_reg, want,
+                                   rtol=0, atol=1e-15)
 
 
 class TestBlendProperties:
