@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .environments import MdpSpecError, load_mdp_spec
@@ -15,7 +16,6 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--replications", type=int, default=None,
                         help="replication count override")
-    parser.add_argument("--out", default=None, help="output CSV path")
     parser.add_argument("--workers", type=int, default=None,
                         help="replication worker processes")
 
@@ -31,6 +31,25 @@ def _execute(cfg, args) -> int:
     return 0
 
 
+def _sweep(args) -> int:
+    """Run the named presets (all by default) in one process, so that pooled
+    runs share its process pool; write <out-dir>/<preset>.csv for each."""
+    presets = builtin_presets()
+    names = list(presets) if args.presets is None else args.presets.split(",")
+    unknown = [name for name in names if name not in presets]
+    for name in unknown:
+        print(f"error: unknown preset {name!r}; try `mdpreg preset --list`", file=sys.stderr)
+    if unknown:
+        return 2
+    os.makedirs(args.out_dir, exist_ok=True)
+    for name in names:
+        cfg = override(presets[name], master_seed=args.seed, replications=args.replications,
+                       out=os.path.join(args.out_dir, f"{name}.csv"), workers=args.workers)
+        emit_csv(run_experiment(cfg), cfg.out)
+        print(f"wrote {cfg.out}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="mdpreg",
@@ -42,12 +61,20 @@ def main(argv=None) -> int:
     src = p_run.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="experiment config path")
     src.add_argument("--preset", dest="preset_name", help="builtin preset name")
+    p_run.add_argument("--out", default=None, help="output CSV path")
     _add_run_overrides(p_run)
 
     p_preset = sub.add_parser("preset", help="run a named builtin experiment")
     p_preset.add_argument("name", nargs="?", help="preset name (omit with --list)")
     p_preset.add_argument("--list", action="store_true", help="list preset names")
+    p_preset.add_argument("--out", default=None, help="output CSV path")
     _add_run_overrides(p_preset)
+
+    p_sweep = sub.add_parser("sweep", help="run several presets, one CSV each")
+    p_sweep.add_argument("--out-dir", required=True, help="directory for <preset>.csv")
+    p_sweep.add_argument("--presets", default=None,
+                         help="comma-separated preset names (default: all, in --list order)")
+    _add_run_overrides(p_sweep)
 
     p_check = sub.add_parser("check", help="run the property/acceptance suites")
     p_check.add_argument("--quick", action="store_true",
@@ -80,6 +107,8 @@ def main(argv=None) -> int:
                 print(f"error: unknown preset {args.name!r}; try --list", file=sys.stderr)
                 return 2
             return _execute(presets[args.name], args)
+        if args.command == "sweep":
+            return _sweep(args)
         if args.command == "check":
             if args.workers is not None and args.workers < 1:
                 print("error: workers must be >= 1", file=sys.stderr)

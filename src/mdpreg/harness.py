@@ -7,6 +7,8 @@ strength per method per wave (21 waves) and grid or two goals all 53 cells in
 one wave. Rows aggregate mean and standard error across replications.
 Replication r always uses child_seed(master_seed, r) and aggregation always
 sums in replication order, so results are bit-identical for any worker count.
+Pooled runs in one process share one process pool, started by the first of
+them and kept while later runs ask for the same number of workers.
 """
 
 from __future__ import annotations
@@ -276,6 +278,30 @@ def _replication_metrics(ctx: _ReplicationContext, rep: int
     return np.array([loss[i] for i in owner]), mse_plain, mse_abs
 
 
+# the process pool pooled run_experiment calls share: (executor, size, pid of
+# the process that made it); its idle workers live until the interpreter exits
+_pool: tuple[ProcessPoolExecutor, int, int] | None = None
+
+
+def _shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The shared pool of ``workers`` processes, made now unless this process
+    already made one of that size."""
+    global _pool
+    if _pool is None or _pool[1:] != (workers, os.getpid()):
+        _drop_pool()  # joins the old pool's threads: none runs while the new one forks
+        _pool = (ProcessPoolExecutor(max_workers=workers), workers, os.getpid())
+    return _pool[0]
+
+
+def _drop_pool(cancel: bool = False) -> None:
+    """Shut the shared pool down and forget it; a pool inherited from the
+    parent of a forked process is forgotten, never touched."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None and pool[2] == os.getpid():
+        pool[0].shutdown(wait=True, cancel_futures=cancel)
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep and aggregate across replications (deterministic)."""
     problems = validate_experiment_config(cfg)
@@ -296,11 +322,20 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     else:
         chunk = max(1, cfg.replications // (workers * 8))
         results = []
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        reused = _pool is not None and _pool[1:] == (workers, os.getpid())
+        while True:
             try:
-                for result in pool.map(task, reps, chunksize=chunk):
+                for result in _shared_pool(workers).map(task, reps, chunksize=chunk):
                     results.append(result)
+                break
             except BrokenProcessPool as exc:
+                _drop_pool(cancel=True)
+                # a worker of a reused pool may have died while it sat idle, and
+                # the pool may notice only after some results: rerun once afresh
+                if reused:
+                    reused = False
+                    results.clear()
+                    continue
                 # map yields in replication order: the first result missing is len(results)
                 rep = len(results)
                 first = rep - rep % chunk
@@ -309,6 +344,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
                     f" chunk of replications {first}-{last}) was not received:"
                     f" a worker process died ({exc})") from exc
+            except BaseException:  # a failed replication or an interrupt
+                _drop_pool(cancel=True)
+                raise
 
     # stack in replication order; np reductions then sum in a fixed order
     losses = np.stack([r[0] for r in results])

@@ -8,7 +8,8 @@ equivalence properties can be tested at solver precision.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from copy import copy
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -142,6 +143,8 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
                 q = np.swapaxes(q_final, 1, 2)
                 pi = greedy_from_q(q)
                 return (pi, q) if problem.t.ndim == 4 else (pi[0], q[0])
-            sub = replace(problem, t=t[active])
+            # a slice of the checked stack: copy() skips __post_init__'s checks
+            sub = copy(problem)
+            object.__setattr__(sub, "t", t[active])
     raise PolicyIterationError(active.tolist())
 

@@ -1,10 +1,14 @@
 import inspect
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from mdpreg import build_two_goals, save_mdp_spec
+from mdpreg import build_two_goals, builtin_presets, save_mdp_spec
 from mdpreg.cli import main
 from mdpreg import properties
 from mdpreg.properties import CheckResult
@@ -29,6 +33,46 @@ def test_preset_run_writes_csv(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("method,strength,")
     assert "mean_loss" in capsys.readouterr().out
+
+
+def test_sweep_writes_each_preset_as_preset_does(tmp_path, capsys):
+    names = ["grid-random", "twogoals-start-small"]
+    overrides = ["--replications", "3", "--seed", "5", "--workers", "2"]
+    assert main(["sweep", "--out-dir", str(tmp_path / "d"), "--presets", ",".join(names),
+                 *overrides]) == 0
+    assert sorted(p.name for p in (tmp_path / "d").iterdir()) == [f"{n}.csv" for n in names]
+    for name in names:
+        assert main(["preset", name, "--out", str(tmp_path / "one.csv"), *overrides]) == 0
+        assert (tmp_path / "d" / f"{name}.csv").read_bytes() == \
+            (tmp_path / "one.csv").read_bytes()
+
+
+def test_sweep_runs_every_preset_by_default(tmp_path, capsys):
+    assert main(["sweep", "--out-dir", str(tmp_path), "--replications", "1"]) == 0
+    written = [line.split()[-1] for line in capsys.readouterr().out.splitlines()]
+    assert written == [str(tmp_path / f"{name}.csv") for name in builtin_presets()]
+
+
+def test_sweep_rejects_unknown_presets_before_running(tmp_path, capsys):
+    code = main(["sweep", "--out-dir", str(tmp_path / "d"),
+                 "--presets", "nope,grid-random,bad"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: unknown preset 'nope'; try `mdpreg preset --list`",
+        "error: unknown preset 'bad'; try `mdpreg preset --list`"]
+    assert not (tmp_path / "d").exists()
+
+
+def test_pooled_preset_exits(tmp_path):
+    # the shared pool's idle workers are joined when the interpreter exits
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "mdpreg.cli", "preset", "grid-random",
+                           "--replications", "20", "--workers", "2",
+                           "--out", str(tmp_path / "g.csv")],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "g.csv").exists()
 
 
 def test_run_from_config_file(tmp_path, capsys):

@@ -1,6 +1,9 @@
 import json
 import multiprocessing
 import os
+import signal
+from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,15 +138,12 @@ class TestDeterminism:
             def __init__(self, max_workers):
                 made.append([max_workers])
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, items, chunksize):
                 made[-1].append(chunksize)
                 return map(fn, items)
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
 
         cfg = tiny_config(workers=workers, replications=replications)
         serial = run_experiment(override(cfg, workers=1))
@@ -229,6 +229,91 @@ class TestFailureHandling:
         with pytest.raises(RuntimeError, match=r"replication 0 \(child seed \d+\) failed:"
                                                rf" .* at cell\(s\) \({method}, {strength:g}\)"):
             run_experiment(cfg)
+
+
+class TestSharedPool:
+    """Pooled runs in one process share one executor while their size holds."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """Starts and shutdowns of the executors the harness makes, in order;
+        real executors, so the work really runs in worker processes."""
+        events = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                super().__init__(max_workers=max_workers)
+                self.size = max_workers
+                events.append(("start", max_workers))
+
+            def shutdown(self, wait=True, *, cancel_futures=False):
+                events.append(("shutdown", self.size, wait))
+                super().shutdown(wait=wait, cancel_futures=cancel_futures)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
+        return events
+
+    def test_pooled_runs_of_one_size_share_an_executor(self, pools):
+        serial = run_experiment(tiny_config())
+        assert run_experiment(tiny_config(workers=2)) == serial
+        assert run_experiment(tiny_config(workers=2)) == serial
+        assert pools == [("start", 2)]
+
+    def test_another_size_shuts_the_old_executor_down_first(self, pools):
+        run_experiment(tiny_config(workers=2))
+        assert run_experiment(tiny_config(workers=3)) == run_experiment(tiny_config())
+        assert pools == [("start", 2), ("shutdown", 2, True), ("start", 3)]
+
+    def test_a_pool_made_by_another_process_is_never_reused(self, pools):
+        run_experiment(tiny_config(workers=2))
+        inherited, size, _ = harness._pool
+        harness._pool = (inherited, size, -1)  # as a forked child sees its parent's pool
+        try:
+            assert run_experiment(tiny_config(workers=2)) == run_experiment(tiny_config())
+            assert harness._pool[0] is not inherited
+            assert pools == [("start", 2), ("start", 2)]  # and never shut it down
+        finally:
+            inherited.shutdown()
+
+    def test_a_worker_killed_while_idle_does_not_fail_the_next_run(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        serial = run_experiment(tiny_config())
+        assert run_experiment(tiny_config(workers=2)) == serial
+        os.kill(multiprocessing.active_children()[0].pid, signal.SIGKILL)
+        assert run_experiment(tiny_config(workers=2)) == serial
+
+    def test_a_failed_replication_drops_the_pool(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        run_experiment(tiny_config(workers=2))
+        # the already forked workers receive the bad cell in the pickled context
+        real = harness._replication_context
+        monkeypatch.setattr(harness, "_replication_context",
+                            lambda cfg, mdp: replace(real(cfg, mdp), cells=(("discount", 2.0),)))
+        with pytest.raises(harness.ReplicationError,
+                           match=r"replication 0 \(child seed \d+\) failed: strength 2"):
+            run_experiment(tiny_config(workers=2))
+        assert harness._pool is None
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched harness only when forked")
+    def test_the_run_after_a_worker_death_returns_the_serial_rows(self, monkeypatch):
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        serial = run_experiment(tiny_config())
+        real = harness.generate_dataset
+        seed = child_seed(777, 0)
+
+        def dying(mdp, optimal, cfg, master_seed):
+            if master_seed == seed:
+                os._exit(1)
+            return real(mdp, optimal, cfg, master_seed)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(harness, "generate_dataset", dying)
+            with pytest.raises(harness.ReplicationError, match="was not received"):
+                run_experiment(tiny_config(workers=2))
+        assert harness._pool is None
+        assert run_experiment(tiny_config(workers=2)) == serial
 
 
 class TestWaves:
