@@ -7,8 +7,9 @@ import os
 import sys
 
 from .environments import MdpSpecError, load_mdp_spec
-from .harness import (ConfigError, ReplicationError, builtin_presets, emit_csv,
-                      emit_summary, load_experiment_config, override, run_experiment)
+from .harness import (ConfigError, ExperimentConfig, ReplicationError, builtin_presets,
+                      emit_csv, emit_summary, load_experiment_config, override,
+                      run_experiment)
 from .properties import run_acceptance
 
 
@@ -20,9 +21,30 @@ def _add_run_overrides(parser: argparse.ArgumentParser) -> None:
                         help="replication worker processes")
 
 
-def _execute(cfg, args) -> int:
-    cfg = override(cfg, master_seed=args.seed, replications=args.replications,
-                   out=args.out, workers=args.workers)
+def _override(cfg, args):
+    return override(cfg, master_seed=args.seed, replications=args.replications,
+                    workers=args.workers)
+
+
+def _presets(names, args) -> dict[str, ExperimentConfig]:
+    """The named builtin presets (all, in order, for None) with the overrides
+    applied; one ConfigError lists every unknown or repeated name before
+    anything runs."""
+    presets = builtin_presets()
+    names = list(presets) if names is None else names
+    problems = []
+    for name in dict.fromkeys(names):
+        if name not in presets:
+            problems.append(f"unknown preset {name!r}; try `mdpreg preset --list`")
+        if names.count(name) > 1:
+            problems.append(f"preset {name!r} is listed {names.count(name)} times")
+    if problems:
+        raise ConfigError(problems)
+    return {name: _override(presets[name], args) for name in names}
+
+
+def _execute(cfg, out) -> int:
+    cfg = override(cfg, out=out)
     rows = run_experiment(cfg)
     print(emit_summary(rows))
     if cfg.out:
@@ -34,19 +56,12 @@ def _execute(cfg, args) -> int:
 def _sweep(args) -> int:
     """Run the named presets (all by default) in one process, so that pooled
     runs share its process pool; write <out-dir>/<preset>.csv for each."""
-    presets = builtin_presets()
-    names = list(presets) if args.presets is None else args.presets.split(",")
-    unknown = [name for name in names if name not in presets]
-    for name in unknown:
-        print(f"error: unknown preset {name!r}; try `mdpreg preset --list`", file=sys.stderr)
-    if unknown:
-        return 2
+    cfgs = _presets(None if args.presets is None else args.presets.split(","), args)
     os.makedirs(args.out_dir, exist_ok=True)
-    for name in names:
-        cfg = override(presets[name], master_seed=args.seed, replications=args.replications,
-                       out=os.path.join(args.out_dir, f"{name}.csv"), workers=args.workers)
-        emit_csv(run_experiment(cfg), cfg.out)
-        print(f"wrote {cfg.out}")
+    for name, cfg in cfgs.items():
+        out = os.path.join(args.out_dir, f"{name}.csv")
+        emit_csv(run_experiment(cfg), out)
+        print(f"wrote {out}")
     return 0
 
 
@@ -57,10 +72,8 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run an experiment from a config or preset")
-    src = p_run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--config", help="experiment config path")
-    src.add_argument("--preset", dest="preset_name", help="builtin preset name")
+    p_run = sub.add_parser("run", help="run an experiment from a config file")
+    p_run.add_argument("--config", required=True, help="experiment config path")
     p_run.add_argument("--out", default=None, help="output CSV path")
     _add_run_overrides(p_run)
 
@@ -79,7 +92,8 @@ def main(argv=None) -> int:
     p_check = sub.add_parser("check", help="run the property/acceptance suites")
     p_check.add_argument("--quick", action="store_true",
                          help="smaller Monte-Carlo sizes for a fast signal")
-    p_check.add_argument("--workers", type=int, default=None)
+    p_check.add_argument("--workers", type=int, default=8,
+                         help="worker processes of the loss-curve check (default 8)")
 
     p_mdp = sub.add_parser("mdp", help="MDP spec-file utilities")
     mdp_sub = p_mdp.add_subparsers(dest="mdp_command", required=True)
@@ -89,30 +103,18 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            if args.config:
-                return _execute(load_experiment_config(args.config), args)
-            presets = builtin_presets()
-            if args.preset_name not in presets:
-                print(f"error: unknown preset {args.preset_name!r}; try"
-                      f" `mdpreg preset --list`", file=sys.stderr)
-                return 2
-            return _execute(presets[args.preset_name], args)
+            return _execute(_override(load_experiment_config(args.config), args), args.out)
         if args.command == "preset":
-            presets = builtin_presets()
             if args.list or args.name is None:
-                for name in presets:
+                for name in builtin_presets():
                     print(name)
                 return 0
-            if args.name not in presets:
-                print(f"error: unknown preset {args.name!r}; try --list", file=sys.stderr)
-                return 2
-            return _execute(presets[args.name], args)
+            return _execute(_presets([args.name], args)[args.name], args.out)
         if args.command == "sweep":
             return _sweep(args)
         if args.command == "check":
-            if args.workers is not None and args.workers < 1:
-                print("error: workers must be >= 1", file=sys.stderr)
-                return 2
+            if args.workers < 1:
+                raise ConfigError(["workers must be >= 1"])
             results = run_acceptance(quick=args.quick, workers=args.workers)
             for result in results:
                 print(result.line())
@@ -132,7 +134,6 @@ def main(argv=None) -> int:
     except ReplicationError as exc:  # a failed run, not a rejected input
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

@@ -69,7 +69,10 @@ class ReplicationError(RuntimeError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one sweep (JSON-mirrorable, see README)."""
+    """Declarative description of one sweep (JSON-mirrorable, see README).
+    Building one, ``replace`` included, raises ConfigError listing every
+    out-of-range field; the MDP it names and its start states are checked
+    when a run resolves the MDP."""
 
     mdp: str                                   # builtin name or spec-file path
     collection: CollectionConfig
@@ -89,6 +92,41 @@ class ExperimentConfig:
             object.__setattr__(self, name, grid)
         if self.gamma == 0:
             object.__setattr__(self, "gamma", abs(self.gamma))
+        problems = []
+        if not self.methods:
+            problems.append("methods list is empty")
+        for m in self.methods:
+            if m not in METHODS:
+                problems.append(f"unknown method {m!r}")
+        if len(set(self.methods)) != len(self.methods):
+            problems.append("methods list has duplicates")
+        needs_eps = any(m in ("discount", "eps_greedy") for m in self.methods)
+        if needs_eps and not self.eps_grid:
+            problems.append("eps_grid is empty but a method sweeps eps")
+        if "dirichlet" in self.methods and not self.magnitude_grid:
+            problems.append("magnitude_grid is empty but dirichlet is requested")
+        for e in self.eps_grid:
+            if not 0.0 <= e <= 1.0:
+                problems.append(f"eps value {e} outside [0, 1]")
+        if len(set(self.eps_grid)) != len(self.eps_grid):
+            problems.append("eps_grid has duplicate values")
+        for m in self.magnitude_grid:
+            if m < 0:
+                problems.append(f"prior magnitude {m} is negative")
+            elif not m < np.inf:
+                problems.append(f"prior magnitude {m} is not finite")
+        if len(set(self.magnitude_grid)) != len(self.magnitude_grid):
+            problems.append("magnitude_grid has duplicate values")
+        if self.replications < 1:
+            problems.append("replications must be >= 1")
+        if self.workers < 1:
+            problems.append("workers must be >= 1")
+        if not 0 <= self.master_seed < 2 ** 64:
+            problems.append("master_seed must fit in 64 bits")
+        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
+            problems.append(f"gamma override {self.gamma} outside [0, 1)")
+        if problems:
+            raise ConfigError(problems)
 
 
 @dataclass(frozen=True)
@@ -101,43 +139,6 @@ class ResultRow:
     mean_mse_absorbing: float
     replications: int
     config_hash: str
-
-
-def validate_experiment_config(cfg: ExperimentConfig) -> list[str]:
-    problems = []
-    if not cfg.methods:
-        problems.append("methods list is empty")
-    for m in cfg.methods:
-        if m not in METHODS:
-            problems.append(f"unknown method {m!r}")
-    if len(set(cfg.methods)) != len(cfg.methods):
-        problems.append("methods list has duplicates")
-    needs_eps = any(m in ("discount", "eps_greedy") for m in cfg.methods)
-    if needs_eps and not cfg.eps_grid:
-        problems.append("eps_grid is empty but a method sweeps eps")
-    if "dirichlet" in cfg.methods and not cfg.magnitude_grid:
-        problems.append("magnitude_grid is empty but dirichlet is requested")
-    for e in cfg.eps_grid:
-        if not 0.0 <= e <= 1.0:
-            problems.append(f"eps value {e} outside [0, 1]")
-    if len(set(cfg.eps_grid)) != len(cfg.eps_grid):
-        problems.append("eps_grid has duplicate values")
-    for m in cfg.magnitude_grid:
-        if m < 0:
-            problems.append(f"prior magnitude {m} is negative")
-        elif not m < np.inf:
-            problems.append(f"prior magnitude {m} is not finite")
-    if len(set(cfg.magnitude_grid)) != len(cfg.magnitude_grid):
-        problems.append("magnitude_grid has duplicate values")
-    if cfg.replications < 1:
-        problems.append("replications must be >= 1")
-    if cfg.workers < 1:
-        problems.append("workers must be >= 1")
-    if not 0 <= cfg.master_seed < 2 ** 64:
-        problems.append("master_seed must fit in 64 bits")
-    if cfg.gamma is not None and not 0.0 <= cfg.gamma < 1.0:
-        problems.append(f"gamma override {cfg.gamma} outside [0, 1)")
-    return problems
 
 
 def resolve_mdp(cfg: ExperimentConfig) -> TabularMdp:
@@ -304,9 +305,6 @@ def _drop_pool(cancel: bool = False) -> None:
 
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep and aggregate across replications (deterministic)."""
-    problems = validate_experiment_config(cfg)
-    if problems:
-        raise ConfigError(problems)
     mdp = resolve_mdp(cfg)
     problems = [f"start state {s} out of range [0, {mdp.n_states}) of MDP {cfg.mdp!r}"
                 for s in cfg.collection.start_mode.states if not 0 <= s < mdp.n_states]
@@ -483,7 +481,7 @@ def load_experiment_config(path) -> ExperimentConfig:
     start = _start_mode_args(coll.get("start_mode", "uniform"))
     sizes = (coll["n_trajectories"], coll["trajectory_length"], float(coll.get("p_optimal", 0.0)))
     problems = StartMode.problems(*start) + CollectionConfig.problems(*sizes)
-    # a collection with problems is not built; the config then only gets validated
+    # a collection with problems is not built; the config is then built only for its problems
     collection = None if problems else CollectionConfig(*sizes, StartMode(*start))
 
     fields = dict(doc, collection=collection)  # absent fields take the defaults
@@ -492,8 +490,10 @@ def load_experiment_config(path) -> ExperimentConfig:
             fields[name] = tuple(map(kind, fields[name]))
     if fields.get("gamma") is not None:
         fields["gamma"] = float(fields["gamma"])
-    cfg = ExperimentConfig(**fields)
-    problems += validate_experiment_config(cfg)
+    try:
+        cfg = ExperimentConfig(**fields)
+    except ConfigError as exc:
+        problems += exc.problems
     if problems:
         raise ConfigError(problems)
     return cfg

@@ -11,7 +11,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import os
 import tempfile
 import time
 from dataclasses import dataclass
@@ -245,16 +244,11 @@ def check_pi_oracle(n_problems: int = 500, seed: int = 20_007):
     return worst <= 1e-9, f"max value gap to enumeration {worst:.2e}"
 
 
-def default_workers() -> int:
-    return max(1, min(8, os.cpu_count() or 1))
-
-
 @_check("qualitative_loss_curves", limit_s=600.0)
-def check_loss_curves(replications: int = 1000, workers: int | None = None,
+def check_loss_curves(replications: int = 1000, workers: int = 8,
                       seed: int = DEFAULT_SEED):
     """Regularization never hurts at the curve minimum; on the cliff the
     stochastic-policy blend beats no regularization by >= 3 standard errors."""
-    workers = workers or default_workers()
     presets = builtin_presets()
     problems = []
     details = []
@@ -290,20 +284,19 @@ def check_determinism(replications: int = 24, workers: int = 8,
     """Byte-identical CSV on rerun; aggregates independent of worker count."""
     cfg = override(builtin_presets()["cliff-random"], replications=replications,
                    master_seed=seed, workers=1)
+    rows_serial = run_experiment(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         p1, p2 = Path(tmp) / "a.csv", Path(tmp) / "b.csv"
-        emit_csv(run_experiment(cfg), p1)
+        emit_csv(rows_serial, p1)
         emit_csv(run_experiment(cfg), p2)
         if p1.read_bytes() != p2.read_bytes():
             return False, "rerun produced different CSV bytes"
-    rows_serial = run_experiment(cfg)
-    rows_parallel = run_experiment(override(cfg, workers=workers))
-    if rows_serial != rows_parallel:
+    if run_experiment(override(cfg, workers=workers)) != rows_serial:
         return False, f"workers=1 and workers={workers} aggregates differ"
     return True, "byte-identical reruns; worker count irrelevant"
 
 
-def run_acceptance(quick: bool = False, workers: int | None = None) -> list[CheckResult]:
+def run_acceptance(quick: bool = False, workers: int = 8) -> list[CheckResult]:
     """Run all nine acceptance checks (quick mode trims the Monte-Carlo sizes)."""
     loss_reps = 150 if quick else 1000
     return [

@@ -27,16 +27,15 @@ METHODS = ("dirichlet", "discount", "eps_greedy", "none")
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Blended per-action matrices with the reward estimate and the true
-    discount every method plans with. A batch of cells (see ``regularize``)
-    has tuples for ``method`` and ``strength`` and a leading cell axis on
-    ``t_reg``.
+    """Blended per-action matrices, the method that made them (read by
+    ``transition_mse``), the reward estimate and the true discount every
+    method plans with. A batch of cells (see ``regularize``) has a tuple for
+    ``method`` and a leading cell axis on ``t_reg``.
     """
 
     t_reg: np.ndarray   # (n_actions, n_states, n_states), or (cells, ...) for a batch
     r_hat: np.ndarray   # (n_states, n_actions)
     method: str | tuple[str, ...]
-    strength: float | tuple[float, ...]
     gamma: float
 
 
@@ -87,8 +86,8 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
     for i, (m, s) in enumerate(zip(methods, strengths)):
         blend(model.t_hat, *_blend_terms(counts, action_mean, m, s), out=t_reg[i])
     if not single:
-        return RegularizedModel(t_reg, model.r_hat, methods, strengths, gamma)
-    return RegularizedModel(t_reg[0], model.r_hat, method, float(strength), gamma)
+        return RegularizedModel(t_reg, model.r_hat, methods, gamma)
+    return RegularizedModel(t_reg[0], model.r_hat, method, gamma)
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

@@ -22,7 +22,8 @@ def test_preset_list_prints_names(capsys):
 
 def test_unknown_preset_fails(capsys):
     assert main(["preset", "no-such-thing"]) == 2
-    assert "unknown preset" in capsys.readouterr().err
+    assert capsys.readouterr().err == \
+        "error: unknown preset 'no-such-thing'; try `mdpreg preset --list`\n"
 
 
 def test_preset_run_writes_csv(tmp_path, capsys):
@@ -63,6 +64,28 @@ def test_sweep_rejects_unknown_presets_before_running(tmp_path, capsys):
     assert not (tmp_path / "d").exists()
 
 
+def test_sweep_rejects_a_repeated_preset(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("mdpreg.cli.run_experiment", None)  # nothing may run
+    code = main(["sweep", "--out-dir", str(tmp_path / "d"),
+                 "--presets", "grid-random,nope,grid-random,nope"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: preset 'grid-random' is listed 2 times",
+        "error: unknown preset 'nope'; try `mdpreg preset --list`",
+        "error: preset 'nope' is listed 2 times"]
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("flag", ["--replications", "--workers"])
+def test_sweep_rejects_a_bad_override_before_making_its_directory(tmp_path, capsys,
+                                                                  monkeypatch, flag):
+    monkeypatch.setattr("mdpreg.cli.run_experiment", None)  # nothing may run
+    assert main(["sweep", "--out-dir", str(tmp_path / "d"), flag, "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag[2:]} must be >= 1\n" and captured.out == ""
+    assert not (tmp_path / "d").exists()
+
+
 def test_pooled_preset_exits(tmp_path):
     # the shared pool's idle workers are joined when the interpreter exits
     src = str(Path(__file__).resolve().parent.parent / "src")
@@ -90,11 +113,12 @@ def test_run_from_config_file(tmp_path, capsys):
     assert (tmp_path / "res.csv").exists()
 
 
-def test_run_accepts_preset_flag(tmp_path):
-    out = tmp_path / "p.csv"
-    code = main(["run", "--preset", "grid-random", "--replications", "2",
-                 "--out", str(out)])
-    assert code == 0 and out.exists()
+def test_run_takes_only_a_config(capsys):
+    # `mdpreg preset NAME` runs a preset; `run --preset` is a usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--preset", "grid-random"])
+    assert exc.value.code == 2
+    assert "--config" in capsys.readouterr().err
 
 
 def test_run_surfaces_config_problems(tmp_path, capsys):
@@ -153,7 +177,7 @@ def test_check_decorator_times_names_and_bounds():
 
 @pytest.mark.parametrize("workers", ["0", "-1"])
 def test_check_rejects_workers_below_one(monkeypatch, capsys, workers):
-    # rejected like `run --workers 0`, not replaced by default_workers()
+    # rejected like `run --workers 0`, not replaced by the default of 8
     ran = []
     monkeypatch.setattr("mdpreg.cli.run_acceptance", lambda **kw: ran.append(kw) or [])
     assert main(["check", "--quick", "--workers", workers]) == 2

@@ -8,9 +8,9 @@ from mdpreg.properties import random_mdp, random_uniform_visit_counts
 from tests.test_mdp import make_two_state
 
 
-def plain_model(t, method="eps_greedy", strength=0.0):
+def plain_model(t, method="eps_greedy"):
     n = t.shape[1]
-    return RegularizedModel(t, np.zeros((n, t.shape[0])), method, strength, 0.95)
+    return RegularizedModel(t, np.zeros((n, t.shape[0])), method, 0.95)
 
 
 class TestPolicyLoss:

@@ -14,8 +14,7 @@ from mdpreg import (CollectionConfig, ConfigError, ExperimentConfig, StartMode,
                     load_experiment_config, run_experiment, save_mdp_spec,
                     build_two_goals, count, generate_dataset, mle_model,
                     policy_evaluation, regularize, transition_mse)
-from mdpreg.harness import (CSV_HEADER, override, resolve_mdp, sweep_cells, sweep_waves,
-                            validate_experiment_config)
+from mdpreg.harness import CSV_HEADER, override, resolve_mdp, sweep_cells, sweep_waves
 from mdpreg.planning import PlanningProblem, PolicyIterationError, policy_iteration
 from mdpreg.seeding import child_seed
 
@@ -36,13 +35,32 @@ def tiny_config(**overrides):
 
 class TestConfig:
     def test_valid_config_has_no_problems(self):
-        assert validate_experiment_config(tiny_config()) == []
+        cfg = tiny_config()
+        assert replace(cfg) == cfg
 
     def test_problems_are_collected_not_raised_one_by_one(self):
-        cfg = tiny_config(methods=("dirichlet", "ridge"), eps_grid=(2.0,),
-                          replications=0)
-        problems = validate_experiment_config(cfg)
-        assert len(problems) >= 3
+        with pytest.raises(ConfigError) as err:
+            tiny_config(methods=("dirichlet", "ridge"), eps_grid=(2.0,), replications=0)
+        assert err.value.problems == ["unknown method 'ridge'", "eps value 2.0 outside [0, 1]",
+                                      "replications must be >= 1"]
+
+    @pytest.mark.parametrize("field, value, problem", [
+        ("replications", 0, "replications must be >= 1"),
+        ("workers", 0, "workers must be >= 1"),
+        ("master_seed", 2 ** 64, "master_seed must fit in 64 bits"),
+        ("gamma", 1.0, "gamma override 1.0 outside [0, 1)"),
+        ("methods", (), "methods list is empty"),
+        ("eps_grid", (0.5, 0.5), "eps_grid has duplicate values"),
+    ])
+    def test_replace_rejects_a_bad_value_where_it_is_set(self, field, value, problem):
+        with pytest.raises(ConfigError) as err:
+            replace(tiny_config(), **{field: value})
+        assert err.value.problems == [problem]
+
+    def test_override_reports_every_bad_value_at_once(self):
+        with pytest.raises(ConfigError) as err:
+            override(tiny_config(), replications=0, workers=0)
+        assert err.value.problems == ["replications must be >= 1", "workers must be >= 1"]
 
     def test_run_rejects_invalid_config_before_work(self):
         with pytest.raises(ConfigError):
@@ -391,7 +409,7 @@ class TestPresets:
 
     def test_all_presets_validate(self):
         for name, cfg in builtin_presets().items():
-            assert validate_experiment_config(cfg) == [], name
+            assert replace(cfg) == cfg, name
 
     def test_replications_default_to_5000(self):
         assert all(cfg.replications == 5000 for cfg in builtin_presets().values())

@@ -1,8 +1,12 @@
-"""Runs the README's "Library example" code block, so that the example keeps
-working as the library changes."""
+"""Runs the README's "Library example" code block and every `mdpreg` line of
+its shell blocks, so that the examples keep working as the library and the
+command line change."""
 
 import re
+import shlex
 from pathlib import Path
+
+from mdpreg import ResultRow, build_two_goals, builtin_presets, cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +19,23 @@ def test_library_example_runs(capsys):
     assert lines[0] == "(25, 20) 500"
     assert float(lines[1]) >= -1e-9  # a policy loss is never negative
     assert lines[2] == "(3, 48) (3, 48, 4)"
+
+
+def test_cli_lines_parse_and_exit_0(tmp_path, monkeypatch, capsys):
+    # stubs stand in for the runs and the files the lines name; the parser,
+    # the preset lookup and the overrides are the real ones
+    row = ResultRow("none", 0.0, 0.0, 0.0, 0.0, 0.0, 1, "0" * 12)
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg: [row])
+    monkeypatch.setattr(cli, "run_acceptance", lambda **kw: [])
+    monkeypatch.setattr(cli, "load_experiment_config",
+                        lambda path: builtin_presets()["grid-random"])
+    monkeypatch.setattr(cli, "load_mdp_spec", lambda path: build_two_goals())
+    monkeypatch.setattr(cli, "emit_csv", lambda rows, path: None)
+    monkeypatch.chdir(tmp_path)
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), flags=re.S)
+    argvs = [shlex.split(line, comments=True) for block in blocks
+             for line in block.splitlines() if line.startswith("mdpreg ")]
+    assert len(argvs) >= 8
+    for argv in argvs:
+        assert cli.main(argv[1:]) == 0, argv
+        assert capsys.readouterr().err == "", argv

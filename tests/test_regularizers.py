@@ -233,12 +233,11 @@ class TestBlendProperties:
             else:
                 np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
-    def test_dispatcher_records_swept_strength(self):
+    def test_dispatcher_records_the_method(self):
         rng = np.random.default_rng(1)
         counts = random_uniform_visit_counts(rng, 3, 2, row_total=10)
         model = mle_model(counts)
         reg = regularize(model, counts, "dirichlet", 10.0, GAMMA)
-        assert reg.strength == 10.0
         assert reg.method == "dirichlet"
 
     def test_dispatcher_rejects_bad_input(self):
