@@ -45,6 +45,8 @@ def _presets(names, args) -> dict[str, ExperimentConfig]:
 
 def _execute(cfg, out) -> int:
     cfg = override(cfg, out=out)
+    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
+        raise ConfigError([f"cannot write {cfg.out!r}: its directory does not exist"])
     rows = run_experiment(cfg)
     print(emit_summary(rows))
     if cfg.out:

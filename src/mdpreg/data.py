@@ -12,12 +12,30 @@ time.
 
 from __future__ import annotations
 
+import numbers
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .mdp import TabularMdp
+
+
+def is_real(value) -> bool:
+    """A real number a float can hold, NaN and infinities included; no bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
+
+
+# (check, expected type) of an integer config field; numpy integers pass, bool does not
+INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+
+
+def type_problems(config, kinds: dict) -> list[str]:
+    """One problem per field of ``config`` that fails its (check, expected type) in ``kinds``."""
+    return [f"{name} must be {expected}, got {getattr(config, name)!r}"
+            for name, (check, expected) in kinds.items() if not check(getattr(config, name))]
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,10 +111,17 @@ class CollectionConfig:
     start_mode: StartMode = StartMode.uniform()
 
     def __post_init__(self):
-        if problems := self.problems(self.n_trajectories, self.trajectory_length, self.p_optimal):
+        kinds = {"n_trajectories": INTEGER, "trajectory_length": INTEGER,
+                 "p_optimal": (is_real, "a real number"),
+                 "start_mode": (lambda v: isinstance(v, StartMode), "a StartMode")}
+        problems = (type_problems(self, kinds)
+                    or self.problems(self.n_trajectories, self.trajectory_length, self.p_optimal))
+        if problems:
             raise ValueError("; ".join(problems))
+        object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
+        object.__setattr__(self, "trajectory_length", int(self.trajectory_length))
         # -0.0 == 0.0 draws the same data, so it must hash as 0.0 (p_optimal >= 0 here)
-        object.__setattr__(self, "p_optimal", abs(self.p_optimal))
+        object.__setattr__(self, "p_optimal", abs(float(self.p_optimal)))
 
     @staticmethod
     def problems(n_trajectories: int, trajectory_length: int, p_optimal: float) -> list[str]:

@@ -1,10 +1,11 @@
 """Monte-Carlo experiment engine: sweeps across methods, strengths, and seeds.
 
 One replication draws a dataset, estimates the model, and plans its
-(method, strength) cells in waves (see sweep_waves) sized by bytes: each
-wave's stack of blended matrices stays within _WAVE_BYTES, so cliff plans one
-strength per method per wave (21 waves) and grid or two goals all 53 cells in
-one wave. Rows aggregate mean and standard error across replications.
+(method, strength) cells in waves: contiguous slices of the cells in output
+order, as many per wave as keep its stack of blended matrices within
+_WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
+goals all 53 cells in one wave. Rows aggregate mean and standard error across
+replications.
 Replication r always uses child_seed(master_seed, r) and aggregation always
 sums in replication order, so results are bit-identical for any worker count.
 Pooled runs in one process share one process pool, started by the first of
@@ -20,11 +21,11 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from functools import partial
-from itertools import groupby, zip_longest
 
 import numpy as np
 
-from .data import CollectionConfig, StartMode, generate_dataset
+from .data import (INTEGER, CollectionConfig, StartMode, generate_dataset, is_real,
+                   type_problems)
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
                            build_two_goals, cliff_near_goal_states, is_json_int,
                            is_json_number, load_mdp_spec, read_json_object)
@@ -41,8 +42,8 @@ DEFAULT_REPLICATIONS = 5000
 DEFAULT_EPS_GRID = tuple(i / 20 for i in range(21))
 DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 
-# bytes of blended matrices one wave may stack: a cliff wave (3 x 74 KB) takes
-# one strength per method, a grid or two-goals sweep (53 x 2.4-3.5 KB) one wave
+# bytes of blended matrices one wave may stack: three cliff cells (74 KB each),
+# or a whole grid or two-goals sweep (53 x 2.4-3.5 KB)
 _WAVE_BYTES = 1 << 18
 
 # the dense example limited-start variant needs an explicit list of 5 states
@@ -67,12 +68,27 @@ class ReplicationError(RuntimeError):
     """A replication failed or was lost; the message names it and its child seed."""
 
 
+_REALS = (lambda v: isinstance(v, (tuple, list)) and all(map(is_real, v)),
+          "a tuple or list of real numbers")
+# field -> (type check, expected type) of an ExperimentConfig
+_CONFIG_TYPES = {
+    "mdp": (lambda v: isinstance(v, str), "a string"),
+    "collection": (lambda v: isinstance(v, CollectionConfig), "a CollectionConfig"),
+    "methods": (lambda v: isinstance(v, (tuple, list)) and all(isinstance(m, str) for m in v),
+                "a tuple or list of strings"),
+    "eps_grid": _REALS, "magnitude_grid": _REALS,
+    "replications": INTEGER, "master_seed": INTEGER, "workers": INTEGER,
+    "gamma": (lambda v: v is None or is_real(v), "a real number or None"),
+    "out": (lambda v: v is None or isinstance(v, str), "a string or None"),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one sweep (JSON-mirrorable, see README).
     Building one, ``replace`` included, raises ConfigError listing every
-    out-of-range field; the MDP it names and its start states are checked
-    when a run resolves the MDP."""
+    wrongly typed field, or else every out-of-range one; the MDP it names
+    and its start states are checked when a run resolves the MDP."""
 
     mdp: str                                   # builtin name or spec-file path
     collection: CollectionConfig
@@ -86,46 +102,38 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        # -0.0 == 0.0 runs the same cells, so it must print and hash as 0.0
+        if problems := type_problems(self, _CONFIG_TYPES):
+            raise ConfigError(problems)
+        # numbers become Python ints and floats, and -0.0 == 0.0 runs the same
+        # cells, so it must print and hash as 0.0 (x + 0.0 is never -0.0)
         for name in ("eps_grid", "magnitude_grid"):
-            grid = tuple(abs(v) if v == 0 else v for v in getattr(self, name))
-            object.__setattr__(self, name, grid)
-        if self.gamma == 0:
-            object.__setattr__(self, "gamma", abs(self.gamma))
-        problems = []
-        if not self.methods:
-            problems.append("methods list is empty")
-        for m in self.methods:
-            if m not in METHODS:
-                problems.append(f"unknown method {m!r}")
-        if len(set(self.methods)) != len(self.methods):
-            problems.append("methods list has duplicates")
-        needs_eps = any(m in ("discount", "eps_greedy") for m in self.methods)
-        if needs_eps and not self.eps_grid:
-            problems.append("eps_grid is empty but a method sweeps eps")
-        if "dirichlet" in self.methods and not self.magnitude_grid:
-            problems.append("magnitude_grid is empty but dirichlet is requested")
-        for e in self.eps_grid:
-            if not 0.0 <= e <= 1.0:
-                problems.append(f"eps value {e} outside [0, 1]")
-        if len(set(self.eps_grid)) != len(self.eps_grid):
-            problems.append("eps_grid has duplicate values")
-        for m in self.magnitude_grid:
-            if m < 0:
-                problems.append(f"prior magnitude {m} is negative")
-            elif not m < np.inf:
-                problems.append(f"prior magnitude {m} is not finite")
-        if len(set(self.magnitude_grid)) != len(self.magnitude_grid):
-            problems.append("magnitude_grid has duplicate values")
-        if self.replications < 1:
-            problems.append("replications must be >= 1")
-        if self.workers < 1:
-            problems.append("workers must be >= 1")
-        if not 0 <= self.master_seed < 2 ** 64:
-            problems.append("master_seed must fit in 64 bits")
-        if self.gamma is not None and not 0.0 <= self.gamma < 1.0:
-            problems.append(f"gamma override {self.gamma} outside [0, 1)")
-        if problems:
+            object.__setattr__(self, name, tuple(float(v) + 0.0 for v in getattr(self, name)))
+        for name in ("replications", "master_seed", "workers"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "methods", tuple(self.methods))
+        if self.gamma is not None:
+            object.__setattr__(self, "gamma", float(self.gamma) + 0.0)
+        methods, eps, mags = self.methods, self.eps_grid, self.magnitude_grid
+        rules = (
+            (not methods, "methods list is empty"),
+            *((m not in METHODS, f"unknown method {m!r}") for m in methods),
+            (len(set(methods)) != len(methods), "methods list has duplicates"),
+            ({"discount", "eps_greedy"} & set(methods) and not eps,
+             "eps_grid is empty but a method sweeps eps"),
+            ("dirichlet" in methods and not mags,
+             "magnitude_grid is empty but dirichlet is requested"),
+            *((not 0.0 <= e <= 1.0, f"eps value {e} outside [0, 1]") for e in eps),
+            (len(set(eps)) != len(eps), "eps_grid has duplicate values"),
+            *((not 0 <= m < np.inf,
+               f"prior magnitude {m} is {'negative' if m < 0 else 'not finite'}") for m in mags),
+            (len(set(mags)) != len(mags), "magnitude_grid has duplicate values"),
+            (self.replications < 1, "replications must be >= 1"),
+            (self.workers < 1, "workers must be >= 1"),
+            (not 0 <= self.master_seed < 2 ** 64, "master_seed must fit in 64 bits"),
+            (self.gamma is not None and not 0.0 <= self.gamma < 1.0,
+             f"gamma override {self.gamma} outside [0, 1)"),
+        )
+        if problems := [message for broken, message in rules if broken]:
             raise ConfigError(problems)
 
 
@@ -153,33 +161,8 @@ def resolve_mdp(cfg: ExperimentConfig) -> TabularMdp:
 
 def sweep_cells(cfg: ExperimentConfig) -> list[tuple[str, float]]:
     """(method, strength) pairs in output order: config method order, grid order."""
-    cells = []
-    for m in cfg.methods:
-        if m == "dirichlet":
-            grid: tuple[float, ...] = cfg.magnitude_grid
-        elif m == "none":
-            grid = (0.0,)
-        else:
-            grid = cfg.eps_grid
-        cells.extend((m, float(s)) for s in grid)
-    return cells
-
-
-def sweep_waves(cells, width: int) -> list[list[int]]:
-    """Cell indices per wave of ``sweep_cells`` output (each method's cells
-    contiguous): wave j holds the next ``width`` cells of every method, in
-    output order, and is planned as one stack, each cell warm-started from
-    its method's last policy of wave j-1. ``width = 1`` gives wave j the j-th
-    cell of every method."""
-    spans = [list(g) for _, g in groupby(range(len(cells)), key=lambda i: cells[i][0])]
-    chunks = [[span[j:j + width] for j in range(0, len(span), width)] for span in spans]
-    return [[i for chunk in wave if chunk for i in chunk] for wave in zip_longest(*chunks)]
-
-
-def _wave_width(cells, cell_bytes: int) -> int:
-    """Strengths per method in one wave: as many as keep its stack of
-    ``cell_bytes``-sized matrices within _WAVE_BYTES, and at least one."""
-    return max(1, _WAVE_BYTES // (len({m for m, _ in cells}) * cell_bytes))
+    grids = {"dirichlet": cfg.magnitude_grid, "none": (0.0,)}  # the others sweep eps
+    return [(m, s) for m in cfg.methods for s in grids.get(m, cfg.eps_grid)]
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
@@ -250,25 +233,23 @@ def _replication_metrics(ctx: _ReplicationContext, rep: int
     counts = count(dataset, mdp.n_states, mdp.n_actions)
     est = mle_model(counts)
 
-    width = _wave_width(ctx.cells, est.t_hat.nbytes)
-    latest = {}  # each method's latest policy: its warm start in the next wave
+    width = max(1, _WAVE_BYTES // est.t_hat.nbytes)
     policies = np.empty((len(ctx.cells), mdp.n_states), dtype=np.int64)
     mse_plain, mse_abs = np.empty((2, len(ctx.cells)))
-    for cells in sweep_waves(ctx.cells, width):
-        methods, strengths = zip(*(ctx.cells[i] for i in cells))
+    warm = None  # the previous wave's last policy starts every cell of a wave
+    for start in range(0, len(ctx.cells), width):
+        wave = slice(start, start + width)
+        methods, strengths = zip(*ctx.cells[wave])
         reg = regularize(est, counts, methods, strengths, mdp.gamma)
-        # wave 0 holds every method, so each later wave finds all its warm starts
-        warm = np.stack([latest[m] for m in methods]) if latest else None
         try:
             policy = policy_iteration(PlanningProblem.from_regularized(reg), initial_policy=warm)[0]
         except PolicyIterationError as exc:
             names = ", ".join(f"({methods[i]}, {strengths[i]:g})" for i in exc.problems)
             raise RuntimeError(f"{exc} at cell(s) {names}") from exc
-        latest.update(zip(methods, policy))
-        policies[cells] = policy
+        policies[wave], warm = policy, policy[-1]
         mse = transition_mse(mdp.transition, reg)
-        mse_plain[cells] = mse.mse_plain
-        mse_abs[cells] = mse.mse_absorbing
+        mse_plain[wave] = mse.mse_plain
+        mse_abs[wave] = mse.mse_absorbing
 
     # evaluate each distinct policy once in the true MDP; keying rows by their
     # bytes is several times faster than np.unique(axis=0) on 53 short rows
@@ -347,9 +328,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 raise
 
     # stack in replication order; np reductions then sum in a fixed order
-    losses = np.stack([r[0] for r in results])
-    mse_plain = np.stack([r[1] for r in results])
-    mse_abs = np.stack([r[2] for r in results])
+    losses, mse_plain, mse_abs = map(np.stack, zip(*results))
     n = cfg.replications
     stderr = (losses.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
               else np.zeros(losses.shape[1]))
@@ -437,7 +416,6 @@ def _start_mode_args(value) -> tuple[str, tuple[int, ...]] | None:
     return None
 
 
-_INTEGER = (is_json_int, "an integer")
 _NUMBERS = (lambda v: isinstance(v, list) and all(map(is_json_number, v)),
             "a list of finite numbers")
 # JSON field -> (type check, expected type); collection fields are prefixed
@@ -446,11 +424,11 @@ _FIELD_TYPES = {
     "methods": (lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
                 "a list of strings"),
     "eps_grid": _NUMBERS, "magnitude_grid": _NUMBERS,
-    "replications": _INTEGER, "master_seed": _INTEGER, "workers": _INTEGER,
+    "replications": INTEGER, "master_seed": INTEGER, "workers": INTEGER,
     "gamma": (lambda v: v is None or is_json_number(v), "a finite number or null"),
     "out": (lambda v: v is None or isinstance(v, str), "a string or null"),
     "collection": (lambda v: isinstance(v, dict), "a JSON object"),
-    "collection.n_trajectories": _INTEGER, "collection.trajectory_length": _INTEGER,
+    "collection.n_trajectories": INTEGER, "collection.trajectory_length": INTEGER,
     "collection.p_optimal": (is_json_number, "a finite number"),
     "collection.start_mode": (lambda v: _start_mode_args(v) is not None,
                               '"uniform", {"fixed": s} or {"set": [s, ...]}'),
@@ -481,15 +459,9 @@ def load_experiment_config(path) -> ExperimentConfig:
     start = _start_mode_args(coll.get("start_mode", "uniform"))
     sizes = (coll["n_trajectories"], coll["trajectory_length"], float(coll.get("p_optimal", 0.0)))
     problems = StartMode.problems(*start) + CollectionConfig.problems(*sizes)
-    # a collection with problems is not built; the config is then built only for its problems
-    collection = None if problems else CollectionConfig(*sizes, StartMode(*start))
-
+    # a collection with problems is not built: a stand-in lets the config list its own
+    collection = CollectionConfig(1, 1) if problems else CollectionConfig(*sizes, StartMode(*start))
     fields = dict(doc, collection=collection)  # absent fields take the defaults
-    for name, kind in (("methods", str), ("eps_grid", float), ("magnitude_grid", float)):
-        if name in fields:
-            fields[name] = tuple(map(kind, fields[name]))
-    if fields.get("gamma") is not None:
-        fields["gamma"] = float(fields["gamma"])
     try:
         cfg = ExperimentConfig(**fields)
     except ConfigError as exc:

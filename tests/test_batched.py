@@ -174,10 +174,12 @@ def near_tie_mdp(seed: int, n: int, n_actions: int, copies: str, reward_std: flo
 def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, reward_std,
                                                  collection, methods, eps_grid,
                                                  magnitude_grid):
-    # width 1 warm-starts each cell from its method's previous strength; one
-    # wave per sweep starts every cell cold. Both must give the same bits,
-    # also on near-ties: copied actions, eps_greedy near 1, and data that
-    # leave most pairs unvisited (p_optimal = 1, few short trajectories)
+    # width 1 warm-starts each cell from the previous cell; width 2 warm-starts
+    # both cells of a wave from the previous wave's last policy, so waves cross
+    # method boundaries and methods share one warm start; one wave per sweep
+    # starts every cell cold. All must give the same bits, also on near-ties:
+    # copied actions, eps_greedy near 1, and data that leave most pairs
+    # unvisited (p_optimal = 1, few short trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
     cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,
                                                                     StartMode.uniform()),
@@ -192,15 +194,18 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
         return real(*args, **kwargs)
 
     out = {}
+    cells = len(ctx.cells)
+    two_cells = 2 * mdp.transition.nbytes  # the MLE matrices are as large
     with mock.patch.object(harness, "policy_iteration", counting):
-        for wave_bytes, n_waves in ((1, max(len(eps_grid), len(magnitude_grid))), (1 << 60, 1)):
+        for wave_bytes, n_waves in ((1, cells), (two_cells, -(-cells // 2)), (1 << 60, 1)):
             with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes):
                 waves.clear()
                 out[wave_bytes] = [harness._replication_metrics(ctx, rep) for rep in range(2)]
                 assert len(waves) == 2 * n_waves
-    for narrow, wide in zip(out[1], out[1 << 60]):
-        for a, b in zip(narrow, wide):  # losses, plain MSE, absorbing MSE
-            np.testing.assert_array_equal(a, b)
+    for narrow, pairs, wide in zip(out[1], out[two_cells], out[1 << 60]):
+        for a, b, c in zip(narrow, pairs, wide):  # losses, plain MSE, absorbing MSE
+            np.testing.assert_array_equal(a, c)
+            np.testing.assert_array_equal(b, c)
 
 
 def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:

@@ -113,6 +113,28 @@ def test_run_from_config_file(tmp_path, capsys):
     assert (tmp_path / "res.csv").exists()
 
 
+@pytest.mark.parametrize("route", ["preset", "config"])
+def test_out_in_a_missing_directory_fails_before_running(tmp_path, capsys, monkeypatch,
+                                                         route):
+    def no_run(cfg):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("mdpreg.cli.run_experiment", no_run)
+    out = str(tmp_path / "missing" / "x.csv")
+    if route == "preset":
+        argv = ["preset", "grid-random", "--replications", "50", "--out", out]
+    else:
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text(json.dumps({"mdp": "grid", "out": out, "collection": {
+            "n_trajectories": 3, "trajectory_length": 5}}))
+        argv = ["run", "--config", str(cfg_path)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out!r}: its directory does not exist\n"
+    assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
+
+
 def test_run_takes_only_a_config(capsys):
     # `mdpreg preset NAME` runs a preset; `run --preset` is a usage error
     with pytest.raises(SystemExit) as exc:

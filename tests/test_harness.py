@@ -14,7 +14,7 @@ from mdpreg import (CollectionConfig, ConfigError, ExperimentConfig, StartMode,
                     load_experiment_config, run_experiment, save_mdp_spec,
                     build_two_goals, count, generate_dataset, mle_model,
                     policy_evaluation, regularize, transition_mse)
-from mdpreg.harness import CSV_HEADER, override, resolve_mdp, sweep_cells, sweep_waves
+from mdpreg.harness import CSV_HEADER, override, resolve_mdp, sweep_cells
 from mdpreg.planning import PlanningProblem, PolicyIterationError, policy_iteration
 from mdpreg.seeding import child_seed
 
@@ -56,6 +56,47 @@ class TestConfig:
         with pytest.raises(ConfigError) as err:
             replace(tiny_config(), **{field: value})
         assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("build, problems", [
+        (lambda: tiny_config(replications="3", magnitude_grid=(-1.0,)),
+         ["replications must be an integer, got '3'"]),
+        (lambda: tiny_config(methods="discount", magnitude_grid=(-1.0,)),
+         ["methods must be a tuple or list of strings, got 'discount'"]),
+        (lambda: tiny_config(master_seed=1.5, workers=2.0, magnitude_grid=(-1.0,)),
+         ["master_seed must be an integer, got 1.5", "workers must be an integer, got 2.0"]),
+        (lambda: tiny_config(workers=True, gamma="0.9", out=7, magnitude_grid=(-1.0,)),
+         ["workers must be an integer, got True",
+          "gamma must be a real number or None, got '0.9'",
+          "out must be a string or None, got 7"]),
+        (lambda: tiny_config(mdp=None, collection=(5, 8), eps_grid=(0.5, 10 ** 400),
+                             magnitude_grid=(-1.0,)),
+         ["mdp must be a string, got None", "collection must be a CollectionConfig, got (5, 8)",
+          f"eps_grid must be a tuple or list of real numbers, got (0.5, {10 ** 400})"]),
+        (lambda: CollectionConfig("3", 5), ["n_trajectories must be an integer, got '3'"]),
+        (lambda: CollectionConfig(0, False, "0.5", "uniform"),
+         ["trajectory_length must be an integer, got False",
+          "p_optimal must be a real number, got '0.5'",
+          "start_mode must be a StartMode, got 'uniform'"]),
+    ], ids=["replications", "methods", "seed-workers", "bool-gamma-out", "mdp-collection-grid",
+            "collection", "collection-fields"])
+    def test_wrong_types_are_reported_before_any_range_check(self, build, problems):
+        # the out-of-range values beside them (magnitude -1, n_trajectories 0)
+        # are not reported: their checks would fail on the wrong types
+        with pytest.raises(ValueError) as err:
+            build()
+        assert getattr(err.value, "problems", str(err.value).split("; ")) == problems
+
+    def test_numpy_numbers_become_python_numbers(self):
+        cfg = tiny_config(replications=np.int64(6), master_seed=np.uint64(777),
+                          workers=np.int8(1), gamma=np.float32(0.5),
+                          methods=["dirichlet", "discount", "eps_greedy", "none"],
+                          eps_grid=[np.float32(0.0), np.float64(0.5)], magnitude_grid=(0, 10),
+                          collection=CollectionConfig(np.int32(5), np.int64(8), np.float16(0)))
+        want = tiny_config(gamma=0.5)
+        assert cfg == want and config_hash(cfg) == config_hash(want)
+        for got, ref in zip(vars(cfg).values(), vars(want).values()):
+            assert type(got) is type(ref)
+        assert [type(v) for v in vars(cfg.collection).values()] == [int, int, float, StartMode]
 
     def test_override_reports_every_bad_value_at_once(self):
         with pytest.raises(ConfigError) as err:
@@ -239,11 +280,10 @@ class TestFailureHandling:
             return policy_iteration(problem)
 
         monkeypatch.setattr(harness, "policy_iteration", stuck)
-        # problem 1 of the first stacked call is the second cell of wave 0
+        # problem 1 of the first stacked call is the second cell of wave 0,
+        # which is the second cell of the sweep
         cfg = tiny_config()
-        cells = sweep_cells(cfg)
-        width = harness._wave_width(cells, resolve_mdp(cfg).transition.nbytes)
-        method, strength = cells[sweep_waves(cells, width)[0][1]]
+        method, strength = sweep_cells(cfg)[1]
         with pytest.raises(RuntimeError, match=r"replication 0 \(child seed \d+\) failed:"
                                                rf" .* at cell\(s\) \({method}, {strength:g}\)"):
             run_experiment(cfg)
@@ -335,27 +375,24 @@ class TestSharedPool:
 
 
 class TestWaves:
-    def test_wave_j_holds_the_jth_cell_of_every_method(self):
-        cells = sweep_cells(tiny_config(methods=("discount", "none", "dirichlet"),
-                                        eps_grid=(0.0, 0.5, 1.0)))
-        # cells: discount 0..2, none 3, dirichlet 4..5
-        assert sweep_waves(cells, width=1) == [[0, 3, 4], [1, 5], [2]]
-        # wave j holds the next two strengths of every method, in output order
-        assert sweep_waves(cells, width=2) == [[0, 1, 3, 4, 5], [2]]
-        assert sweep_waves(cells, width=3) == [[0, 1, 2, 3, 4, 5]]
-
     @pytest.mark.parametrize("preset", sorted(builtin_presets()))
     def test_wave_width_follows_from_bytes(self, preset, monkeypatch):
-        # one cliff strength per method fills a wave; a grid or two-goals
-        # sweep fits in one
+        # three cliff cells fill a wave; a grid or two-goals sweep fits in one
         cfg = builtin_presets()[preset]
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
-        calls = []
-        real = harness.regularize
-        monkeypatch.setattr(harness, "regularize", lambda *args: calls.append(args) or real(*args))
+        width = max(1, harness._WAVE_BYTES // ctx.mdp.transition.nbytes)
+        blends, plans = [], []
+        blend, plan = harness.regularize, harness.policy_iteration
+        monkeypatch.setattr(harness, "regularize", lambda *a: blends.append(a) or blend(*a))
+        monkeypatch.setattr(harness, "policy_iteration",
+                            lambda *a, **k: plans.append(a) or plan(*a, **k))
         harness._replication_metrics(ctx, 0)
-        assert len(calls) == (21 if cfg.mdp == "cliff" else 1)
-        assert sum(len(args[2]) for args in calls) == len(ctx.cells) == 53
+        assert len(blends) == len(plans) == -(-len(ctx.cells) // width)
+        assert len(plans) == (18 if cfg.mdp == "cliff" else 1)
+        # wave j is cells jw .. jw + w - 1 of the sweep, across method boundaries
+        assert [list(zip(*args[2:4])) for args in blends] == [
+            list(ctx.cells[i:i + width]) for i in range(0, len(ctx.cells), width)]
+        assert len(ctx.cells) == 53
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's
