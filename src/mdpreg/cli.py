@@ -6,10 +6,10 @@ import argparse
 import os
 import sys
 
+from .data import ConfigError, check
 from .environments import MdpSpecError, load_mdp_spec
-from .harness import (ConfigError, ExperimentConfig, ReplicationError, builtin_presets,
-                      emit_csv, emit_summary, load_experiment_config, override,
-                      run_experiment)
+from .harness import (ExperimentConfig, ReplicationError, builtin_presets, emit_csv,
+                      emit_summary, load_experiment_config, override, run_experiment)
 from .properties import run_acceptance
 
 
@@ -43,10 +43,18 @@ def _presets(names, args) -> dict[str, ExperimentConfig]:
     return {name: _override(presets[name], args) for name in names}
 
 
+def _check_writable(paths) -> None:
+    """Raise one ConfigError naming each path that is a directory or whose
+    directory does not exist, so that no run starts whose CSV cannot be written."""
+    check(rule for path in paths for rule in (
+        (os.path.isdir(path), f"cannot write {path!r}: it is a directory"),
+        (not os.path.isdir(os.path.dirname(path) or "."),
+         f"cannot write {path!r}: its directory does not exist")))
+
+
 def _execute(cfg, out) -> int:
     cfg = override(cfg, out=out)
-    if cfg.out and not os.path.isdir(os.path.dirname(cfg.out) or "."):
-        raise ConfigError([f"cannot write {cfg.out!r}: its directory does not exist"])
+    _check_writable([cfg.out] if cfg.out else [])
     rows = run_experiment(cfg)
     print(emit_summary(rows))
     if cfg.out:
@@ -59,11 +67,13 @@ def _sweep(args) -> int:
     """Run the named presets (all by default) in one process, so that pooled
     runs share its process pool; write <out-dir>/<preset>.csv for each."""
     cfgs = _presets(None if args.presets is None else args.presets.split(","), args)
+    outs = {name: os.path.join(args.out_dir, f"{name}.csv") for name in cfgs}
+    # made only where it is missing, and then no CSV path in it is a directory
     os.makedirs(args.out_dir, exist_ok=True)
+    _check_writable(outs.values())
     for name, cfg in cfgs.items():
-        out = os.path.join(args.out_dir, f"{name}.csv")
-        emit_csv(run_experiment(cfg), out)
-        print(f"wrote {out}")
+        emit_csv(run_experiment(cfg), outs[name])
+        print(f"wrote {outs[name]}")
     return 0
 
 

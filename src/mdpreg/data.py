@@ -32,10 +32,25 @@ def is_real(value) -> bool:
 INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
 
 
-def type_problems(config, kinds: dict) -> list[str]:
-    """One problem per field of ``config`` that fails its (check, expected type) in ``kinds``."""
-    return [f"{name} must be {expected}, got {getattr(config, name)!r}"
-            for name, (check, expected) in kinds.items() if not check(getattr(config, name))]
+class ConfigError(ValueError):
+    """Invalid experiment configuration; carries the full problem list."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = problems
+        super().__init__("invalid experiment config: " + "; ".join(problems))
+
+
+def check(rules) -> None:
+    """Raise one ConfigError with the message of every broken rule, a
+    (broken, message) pair; return if none is broken."""
+    if problems := [message for broken, message in rules if broken]:
+        raise ConfigError(problems)
+
+
+def check_types(config, kinds: dict) -> None:
+    """``check`` that each field of ``config`` passes its (check, expected type) in ``kinds``."""
+    check((not ok(value), f"{name} must be {expected}, got {value!r}")
+          for name, (ok, expected) in kinds.items() for value in [getattr(config, name)])
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,20 +76,14 @@ class StartMode:
     states: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if problems := self.problems(self.kind, self.states):
-            raise ValueError("; ".join(problems))
-        object.__setattr__(self, "states", tuple(int(s) for s in self.states))
-
-    @staticmethod
-    def problems(kind: str, states: Sequence[int]) -> list[str]:
-        """Every reason ``StartMode(kind, states)`` would raise."""
-        rules = (
+        kind, states = self.kind, self.states
+        check((
             (kind not in ("uniform", "fixed", "set"), f"unknown start mode {kind!r}"),
             (kind == "fixed" and len(states) != 1, "fixed start mode takes exactly one state"),
             (kind == "set" and len(states) == 0, "set start mode requires a non-empty state list"),
             (len(set(states)) != len(states), f"start states {list(states)} have duplicates"),
-        )
-        return [message for broken, message in rules if broken]
+        ))
+        object.__setattr__(self, "states", tuple(int(s) for s in states))
 
     @classmethod
     def uniform(cls) -> "StartMode":
@@ -111,27 +120,19 @@ class CollectionConfig:
     start_mode: StartMode = StartMode.uniform()
 
     def __post_init__(self):
-        kinds = {"n_trajectories": INTEGER, "trajectory_length": INTEGER,
-                 "p_optimal": (is_real, "a real number"),
-                 "start_mode": (lambda v: isinstance(v, StartMode), "a StartMode")}
-        problems = (type_problems(self, kinds)
-                    or self.problems(self.n_trajectories, self.trajectory_length, self.p_optimal))
-        if problems:
-            raise ValueError("; ".join(problems))
+        check_types(self, {"n_trajectories": INTEGER, "trajectory_length": INTEGER,
+                           "p_optimal": (is_real, "a real number"),
+                           "start_mode": (lambda v: isinstance(v, StartMode), "a StartMode")})
         object.__setattr__(self, "n_trajectories", int(self.n_trajectories))
         object.__setattr__(self, "trajectory_length", int(self.trajectory_length))
-        # -0.0 == 0.0 draws the same data, so it must hash as 0.0 (p_optimal >= 0 here)
-        object.__setattr__(self, "p_optimal", abs(float(self.p_optimal)))
-
-    @staticmethod
-    def problems(n_trajectories: int, trajectory_length: int, p_optimal: float) -> list[str]:
-        """Every reason a collection of these sizes would raise (the start mode aside)."""
-        rules = (
-            (n_trajectories < 1, "n_trajectories must be positive"),
-            (trajectory_length < 1, "trajectory_length must be positive"),
-            (not 0.0 <= p_optimal <= 1.0, f"p_optimal must be in [0, 1], got {p_optimal}"),
-        )
-        return [message for broken, message in rules if broken]
+        # -0.0 == 0.0 draws the same data, so it must hash as 0.0 (x + 0.0 is never -0.0)
+        object.__setattr__(self, "p_optimal", float(self.p_optimal) + 0.0)
+        check((
+            (self.n_trajectories < 1, "n_trajectories must be positive"),
+            (self.trajectory_length < 1, "trajectory_length must be positive"),
+            (not 0.0 <= self.p_optimal <= 1.0,
+             f"p_optimal must be in [0, 1], got {self.p_optimal}"),
+        ))
 
 
 def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,

@@ -19,16 +19,16 @@ import json
 import os
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
 
 import numpy as np
 
-from .data import (INTEGER, CollectionConfig, StartMode, generate_dataset, is_real,
-                   type_problems)
+from .data import (INTEGER, CollectionConfig, ConfigError, StartMode, check, check_types,
+                   generate_dataset, is_real)
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
                            build_two_goals, cliff_near_goal_states, is_json_int,
-                           is_json_number, load_mdp_spec, read_json_object)
+                           load_mdp_spec, read_json_object)
 from .estimation import count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp
@@ -56,14 +56,6 @@ CSV_HEADER = ("method,strength,mean_loss,stderr_loss,mean_mse_plain,"
               "mean_mse_absorbing,replications,config_hash")
 
 
-class ConfigError(ValueError):
-    """Invalid experiment configuration; carries the full problem list."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = problems
-        super().__init__("invalid experiment config: " + "; ".join(problems))
-
-
 class ReplicationError(RuntimeError):
     """A replication failed or was lost; the message names it and its child seed."""
 
@@ -85,10 +77,11 @@ _CONFIG_TYPES = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Declarative description of one sweep (JSON-mirrorable, see README).
-    Building one, ``replace`` included, raises ConfigError listing every
-    wrongly typed field, or else every out-of-range one; the MDP it names
-    and its start states are checked when a run resolves the MDP."""
+    """Declarative description of one sweep; load_experiment_config reads one
+    from JSON (see README). Building one, ``replace`` included, is the one
+    check of its fields: it raises ConfigError listing every wrongly typed
+    field, or else every out-of-range one. The MDP it names and its start
+    states are checked when a run resolves the MDP."""
 
     mdp: str                                   # builtin name or spec-file path
     collection: CollectionConfig
@@ -102,8 +95,7 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if problems := type_problems(self, _CONFIG_TYPES):
-            raise ConfigError(problems)
+        check_types(self, _CONFIG_TYPES)
         # numbers become Python ints and floats, and -0.0 == 0.0 runs the same
         # cells, so it must print and hash as 0.0 (x + 0.0 is never -0.0)
         for name in ("eps_grid", "magnitude_grid"):
@@ -114,7 +106,7 @@ class ExperimentConfig:
         if self.gamma is not None:
             object.__setattr__(self, "gamma", float(self.gamma) + 0.0)
         methods, eps, mags = self.methods, self.eps_grid, self.magnitude_grid
-        rules = (
+        check((
             (not methods, "methods list is empty"),
             *((m not in METHODS, f"unknown method {m!r}") for m in methods),
             (len(set(methods)) != len(methods), "methods list has duplicates"),
@@ -132,9 +124,7 @@ class ExperimentConfig:
             (not 0 <= self.master_seed < 2 ** 64, "master_seed must fit in 64 bits"),
             (self.gamma is not None and not 0.0 <= self.gamma < 1.0,
              f"gamma override {self.gamma} outside [0, 1)"),
-        )
-        if problems := [message for broken, message in rules if broken]:
-            raise ConfigError(problems)
+        ))
 
 
 @dataclass(frozen=True)
@@ -287,10 +277,9 @@ def _drop_pool(cancel: bool = False) -> None:
 def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     """Run the full sweep and aggregate across replications (deterministic)."""
     mdp = resolve_mdp(cfg)
-    problems = [f"start state {s} out of range [0, {mdp.n_states}) of MDP {cfg.mdp!r}"
-                for s in cfg.collection.start_mode.states if not 0 <= s < mdp.n_states]
-    if problems:
-        raise ConfigError(problems)
+    check((not 0 <= s < mdp.n_states,
+           f"start state {s} out of range [0, {mdp.n_states}) of MDP {cfg.mdp!r}")
+          for s in cfg.collection.start_mode.states)
     ctx = _replication_context(cfg, mdp)
     task = partial(_replication_task, ctx)
     reps = range(cfg.replications)
@@ -404,68 +393,59 @@ def emit_summary(rows: list[ResultRow]) -> str:
     return "\n".join(lines)
 
 
-def _start_mode_args(value) -> tuple[str, tuple[int, ...]] | None:
-    """The StartMode (kind, states) a JSON value spells, or None; StartMode
-    itself then checks the states (duplicates) in the range-problem pass."""
+def _start_mode(value, problems: list[str]) -> StartMode:
+    """The StartMode a JSON value spells; uniform stands in for one with problems."""
     if value == "uniform":
-        return "uniform", ()
+        return StartMode.uniform()
     if isinstance(value, dict) and list(value) in (["fixed"], ["set"]):
         states = value.get("set", [value.get("fixed")])
         if isinstance(states, list) and states and all(map(is_json_int, states)):
-            return next(iter(value)), tuple(states)
-    return None
+            return _build(problems, StartMode.uniform(), StartMode, next(iter(value)), states)
+    problems.append('collection.start_mode must be "uniform", {"fixed": s} or'
+                    f' {{"set": [s, ...]}}, got {value!r}')
+    return StartMode.uniform()
 
 
-_NUMBERS = (lambda v: isinstance(v, list) and all(map(is_json_number, v)),
-            "a list of finite numbers")
-# JSON field -> (type check, expected type); collection fields are prefixed
-_FIELD_TYPES = {
-    "mdp": (lambda v: isinstance(v, str), "a string"),
-    "methods": (lambda v: isinstance(v, list) and all(isinstance(m, str) for m in v),
-                "a list of strings"),
-    "eps_grid": _NUMBERS, "magnitude_grid": _NUMBERS,
-    "replications": INTEGER, "master_seed": INTEGER, "workers": INTEGER,
-    "gamma": (lambda v: v is None or is_json_number(v), "a finite number or null"),
-    "out": (lambda v: v is None or isinstance(v, str), "a string or null"),
-    "collection": (lambda v: isinstance(v, dict), "a JSON object"),
-    "collection.n_trajectories": INTEGER, "collection.trajectory_length": INTEGER,
-    "collection.p_optimal": (is_json_number, "a finite number"),
-    "collection.start_mode": (lambda v: _start_mode_args(v) is not None,
-                              '"uniform", {"fixed": s} or {"set": [s, ...]}'),
-}
-
-
-def _field_problems(doc: dict, where: str, required: tuple[str, ...]) -> list[str]:
-    """Missing, wrongly typed and unknown fields of ``doc``, named ``where + key``."""
-    problems = [f"missing config field: {where}{f}" for f in required if f not in doc]
-    unknown = sorted(where + k for k in doc if where + k not in _FIELD_TYPES)
-    if unknown:
+def _known_fields(doc: dict, cls, where: str, problems: list[str]) -> dict:
+    """The keys of ``doc`` that are fields of the dataclass ``cls``; each required
+    field it lacks and each unknown key goes to ``problems`` as ``where + key``."""
+    names = {f.name: f.default is MISSING for f in fields(cls)}  # name -> required
+    problems += [f"missing config field: {where}{name}"
+                 for name, required in names.items() if required and name not in doc]
+    if unknown := sorted(where + k for k in doc if k not in names):
         problems.append(f"unknown config field(s): {', '.join(unknown)}")
-    return problems + [f"{where}{k} must be {_FIELD_TYPES[where + k][1]}, got {v!r}"
-                       for k, v in doc.items()
-                       if where + k in _FIELD_TYPES and not _FIELD_TYPES[where + k][0](v)]
+    return {k: v for k, v in doc.items() if k in names}
+
+
+def _build(problems: list[str], stand_in, cls, *args, **kwargs):
+    """``cls(*args, **kwargs)``, or ``stand_in`` once the problems it raised are added."""
+    try:
+        return cls(*args, **kwargs)
+    except ConfigError as exc:
+        problems += exc.problems
+        return stand_in
 
 
 def load_experiment_config(path) -> ExperimentConfig:
-    """Parse a JSON experiment config (field names mirror ExperimentConfig),
-    reporting all wrongly typed fields together, then all out-of-range values."""
+    """Parse a JSON experiment config: ExperimentConfig's fields, with
+    CollectionConfig's under "collection". The loader checks only what JSON
+    adds: missing and unknown fields, a collection that is no object, and the
+    start_mode spelling. StartMode, CollectionConfig and ExperimentConfig check
+    their own fields; a stand-in takes the place of a part that raised, so one
+    ConfigError lists every problem of every part."""
     doc = read_json_object(path, ConfigError)
-    problems = _field_problems(doc, "", ("mdp", "collection"))
-    coll = doc.get("collection")
-    if isinstance(coll, dict):
-        problems += _field_problems(coll, "collection.", ("n_trajectories", "trajectory_length"))
-    if problems:
-        raise ConfigError(problems)
-    start = _start_mode_args(coll.get("start_mode", "uniform"))
-    sizes = (coll["n_trajectories"], coll["trajectory_length"], float(coll.get("p_optimal", 0.0)))
-    problems = StartMode.problems(*start) + CollectionConfig.problems(*sizes)
-    # a collection with problems is not built: a stand-in lets the config list its own
-    collection = CollectionConfig(1, 1) if problems else CollectionConfig(*sizes, StartMode(*start))
-    fields = dict(doc, collection=collection)  # absent fields take the defaults
-    try:
-        cfg = ExperimentConfig(**fields)
-    except ConfigError as exc:
-        problems += exc.problems
+    problems: list[str] = []
+    top = _known_fields(doc, ExperimentConfig, "", problems)
+    collection = CollectionConfig(1, 1)  # stands in for one that is missing or raised
+    if isinstance(coll := top.get("collection"), dict):
+        coll = _known_fields(coll, CollectionConfig, "collection.", problems)
+        coll["start_mode"] = _start_mode(coll.get("start_mode", "uniform"), problems)
+        collection = _build(problems, collection, CollectionConfig,
+                            **{"n_trajectories": 1, "trajectory_length": 1, **coll})
+    elif "collection" in top:
+        problems.append(f"collection must be a JSON object, got {coll!r}")
+    # "" and 1 stand in for a missing mdp or size, so the parts still list their problems
+    cfg = _build(problems, None, ExperimentConfig, **{"mdp": "", **top, "collection": collection})
     if problems:
         raise ConfigError(problems)
     return cfg

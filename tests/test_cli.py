@@ -135,6 +135,30 @@ def test_out_in_a_missing_directory_fails_before_running(tmp_path, capsys, monke
     assert not (tmp_path / "missing").exists()
 
 
+@pytest.mark.parametrize("route", ["preset", "config", "sweep"])
+def test_out_that_is_a_directory_fails_before_running(tmp_path, capsys, monkeypatch, route):
+    def no_run(cfg):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("mdpreg.cli.run_experiment", no_run)
+    out = tmp_path / "grid-random.csv"
+    out.mkdir()
+    cfg_path = tmp_path / "exp.json"
+    cfg_path.write_text(json.dumps({"mdp": "grid", "out": str(out), "collection": {
+        "n_trajectories": 3, "trajectory_length": 5}}))
+    argv = {"preset": ["preset", "grid-random", "--replications", "2", "--out", str(out)],
+            "config": ["run", "--config", str(cfg_path)],
+            # cliff-random runs first and its CSV could be written
+            "sweep": ["sweep", "--out-dir", str(tmp_path), "--presets",
+                      "cliff-random,grid-random", "--replications", "2"]}[route]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {str(out)!r}: it is a directory\n"
+    assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == ["exp.json", "grid-random.csv"]
+    assert os.listdir(out) == []
+
+
 def test_run_takes_only_a_config(capsys):
     # `mdpreg preset NAME` runs a preset; `run --preset` is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -219,7 +243,7 @@ def test_run_reports_each_ill_typed_field_without_traceback(tmp_path, capsys):
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
     assert "replications must be an integer" in lines[0] + lines[1]
-    assert "eps_grid must be a list of finite numbers" in lines[0] + lines[1]
+    assert "eps_grid must be a tuple or list of real numbers" in lines[0] + lines[1]
 
 
 def _set_nan(doc, table, index):

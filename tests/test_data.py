@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mdpreg import CollectionConfig, StartMode, TabularMdp, child_seed, generate_dataset
+from mdpreg import (CollectionConfig, ConfigError, StartMode, TabularMdp, child_seed,
+                    generate_dataset)
 
 FIELDS = ("states", "actions", "rewards", "next_states")
 
@@ -126,22 +127,22 @@ def test_uniform_start_mode_covers_all_states():
 
 
 def test_start_mode_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         StartMode("typo")
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         StartMode.subset([])
     with pytest.raises(ValueError):
         StartMode.fixed(5).distribution(3)
-    with pytest.raises(ValueError, match="duplicates"):  # its distribution summed to 2/3
+    with pytest.raises(ConfigError, match="duplicates"):  # its distribution summed to 2/3
         StartMode.subset([0, 0, 1])
 
 
 def test_collection_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CollectionConfig(0, 10)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CollectionConfig(10, 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         CollectionConfig(10, 10, p_optimal=1.5)
 
 

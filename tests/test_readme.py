@@ -1,12 +1,15 @@
 """Runs the README's "Library example" code block and every `mdpreg` line of
-its shell blocks, so that the examples keep working as the library and the
-command line change."""
+its shell blocks, and loads its config example, so that the examples keep
+working as the library and the command line change."""
 
+import json
 import re
 import shlex
+from dataclasses import fields
 from pathlib import Path
 
-from mdpreg import ResultRow, build_two_goals, builtin_presets, cli
+from mdpreg import (CollectionConfig, ExperimentConfig, ResultRow, build_two_goals,
+                    builtin_presets, cli, load_experiment_config)
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -19,6 +22,17 @@ def test_library_example_runs(capsys):
     assert lines[0] == "(25, 20) 500"
     assert float(lines[1]) >= -1e-9  # a policy loss is never negative
     assert lines[2] == "(3, 48) (3, 48, 4)"
+
+
+def test_config_block_loads_and_names_every_field(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## Experiment config (JSON)", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
+    path = tmp_path / "exp.json"
+    path.write_text(block, encoding="utf-8")
+    load_experiment_config(path)
+    doc = json.loads(block)
+    assert set(doc) == {f.name for f in fields(ExperimentConfig)}
+    assert set(doc["collection"]) == {f.name for f in fields(CollectionConfig)}
 
 
 def test_cli_lines_parse_and_exit_0(tmp_path, monkeypatch, capsys):
