@@ -77,6 +77,8 @@ class StartMode:
 
     def __post_init__(self):
         kind, states = self.kind, self.states
+        check([(not isinstance(states, (tuple, list)) or not all(map(INTEGER[0], states)),
+                f"start states must be a tuple or list of integers, got {states!r}")])
         check((
             (kind not in ("uniform", "fixed", "set"), f"unknown start mode {kind!r}"),
             (kind == "fixed" and len(states) != 1, "fixed start mode takes exactly one state"),

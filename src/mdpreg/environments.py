@@ -1,5 +1,5 @@
 """The three benchmark MDPs plus JSON load/save for arbitrary tabular MDPs,
-and the JSON reading and type predicates the experiment-config loader shares.
+and the JSON reading the experiment-config loader shares.
 
 Rewards in all builders follow the on-arrival convention: the mean reward
 at (s, a) is the expectation over next states of the reward paid for
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DEFAULT_GAMMA, TabularMdp, validate_mdp
+from .mdp import DEFAULT_GAMMA, MdpSpecError, TabularMdp
 
 CLIFF_WIDTH = 12
 CLIFF_HEIGHT = 4
@@ -33,15 +33,6 @@ STEP_REWARD = -1.0
 TWO_GOALS_N_STATES = 12
 TWO_GOALS_SMALL = 0.10   # arrival reward at state 0
 TWO_GOALS_LARGE = 1.0    # arrival reward at state 11
-
-
-class MdpSpecError(ValueError):
-    """Raised when an MDP spec file cannot be parsed into a valid TabularMdp;
-    ``problems`` holds one message per problem."""
-
-    def __init__(self, problems: str | list[str]):
-        self.problems = [problems] if isinstance(problems, str) else problems
-        super().__init__("; ".join(self.problems))
 
 
 @dataclass(frozen=True)
@@ -78,13 +69,12 @@ GRID_REWARD_MEANS = (0.85, 0.94, 0.9, 0.57, 0.15, 0.19, 0.93, 0.55, 0.18, 0.88)
 GRID_REWARD_STD = 0.25
 
 
-def _slip_grid(noise: GridNoiseConfig, n_actions: int, move, start: np.ndarray,
-               absorbing: set[int], name: str) -> TabularMdp:
+def _slip_grid(noise: GridNoiseConfig, n: int, n_actions: int, move, absorbing: set[int],
+               name: str) -> TabularMdp:
     """The MDP in which action ``a`` executes move ``d`` with probability
     ``slip_prob / n_actions``, plus ``1 - slip_prob`` when ``d == a``;
     ``move(s, d)`` gives the destination and arrival reward of move ``d``
     from ``s``. Absorbing states self-loop with zero reward and noise."""
-    n = len(start)
     weights = np.full((n_actions, n_actions), noise.slip_prob / n_actions)  # [a, d]
     weights[np.diag_indices(n_actions)] += 1.0 - noise.slip_prob
     t = np.zeros((n_actions, n, n))
@@ -99,7 +89,7 @@ def _slip_grid(noise: GridNoiseConfig, n_actions: int, move, start: np.ndarray,
             dest, reward = move(s, d)
             t[:, s, dest] += weights[:, d]
             r_mean[s] += weights[:, d] * reward
-    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, start, absorbing=absorbing, name=name)
+    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, absorbing=absorbing, name=name)
 
 
 def _cliff_move(state: int, direction: int) -> tuple[int, float]:
@@ -119,9 +109,7 @@ def build_cliff_walk(noise: GridNoiseConfig = GridNoiseConfig()) -> TabularMdp:
     cell pays mean reward -100 and teleports to the start; every other move
     pays mean -1. The goal at bottom-right is absorbing and pays nothing.
     """
-    start = np.zeros(CLIFF_N_STATES)
-    start[CLIFF_START] = 1.0
-    return _slip_grid(noise, 4, _cliff_move, start, {CLIFF_GOAL}, "cliff_walk")
+    return _slip_grid(noise, CLIFF_N_STATES, 4, _cliff_move, {CLIFF_GOAL}, "cliff_walk")
 
 
 def cliff_near_goal_states() -> tuple[int, ...]:
@@ -152,9 +140,7 @@ def build_two_goals(noise: GridNoiseConfig = GridNoiseConfig()) -> TabularMdp:
         dest = min(max(state + (-1, 1, 0)[direction], 0), n - 1)
         return dest, arrival[dest]
 
-    start = np.zeros(n)
-    start[1:n - 1] = 1.0 / (n - 2)
-    return _slip_grid(noise, 3, move, start, {0, n - 1}, "two_goals")
+    return _slip_grid(noise, n, 3, move, {0, n - 1}, "two_goals")
 
 
 def build_interconnected_grid() -> TabularMdp:
@@ -170,12 +156,11 @@ def build_interconnected_grid() -> TabularMdp:
                 t[a, s, dest] += p
                 r_mean[s, a] += p * arrival[dest]
     r_std = np.full((n, n_actions), GRID_REWARD_STD)
-    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, np.full(n, 1.0 / n),
-                      name="interconnected_grid")
+    return TabularMdp(t, r_mean, r_std, DEFAULT_GAMMA, name="interconnected_grid")
 
 
 _SPEC_FIELDS = ("name", "n_states", "n_actions", "transition", "reward_mean",
-                "reward_std", "gamma", "start_dist", "absorbing")
+                "reward_std", "gamma", "absorbing")
 
 
 def save_mdp_spec(mdp: TabularMdp, path) -> None:
@@ -188,7 +173,6 @@ def save_mdp_spec(mdp: TabularMdp, path) -> None:
         "reward_mean": mdp.reward_mean.tolist(),
         "reward_std": mdp.reward_std.tolist(),
         "gamma": mdp.gamma,
-        "start_dist": mdp.start_dist.tolist(),
         "absorbing": sorted(mdp.absorbing),
     }
     with open(path, "w", encoding="utf-8") as fh:
@@ -211,28 +195,30 @@ def read_json_object(path, error) -> dict:
     return doc
 
 
-def is_json_int(value) -> bool:
+def _is_json_int(value) -> bool:
     """A JSON integer; ``type`` keeps JSON booleans out."""
     return type(value) is int
 
 
-def is_json_number(value) -> bool:
+def _is_json_number(value) -> bool:
     """A JSON int or float that converts to a finite float."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _is_number_table(value) -> bool:
-    """A JSON int or float, NaN and infinities included (validate_mdp locates
+    """A JSON int or float, NaN and infinities included (TabularMdp locates
     them), or a list of such tables (a bool or a string is no number)."""
     return type(value) in (int, float) or (type(value) is list
                                            and all(map(_is_number_table, value)))
 
 
 def load_mdp_spec(path) -> TabularMdp:
-    """Load and validate a JSON MDP spec; round-trips save_mdp_spec exactly.
+    """Load a JSON MDP spec; round-trips save_mdp_spec exactly. Keys that are
+    no spec field are ignored.
 
-    Raises MdpSpecError listing every schema problem (a wrong type or table
-    shape), or else every violated invariant.
+    Checks only what JSON adds: missing fields, JSON types, and table shapes
+    against the declared sizes; raises MdpSpecError listing every such
+    problem, or else the one TabularMdp raises for the MDP's invariants.
     """
     doc = read_json_object(path, MdpSpecError)
     missing = [f for f in _SPEC_FIELDS if f not in doc]
@@ -242,18 +228,18 @@ def load_mdp_spec(path) -> TabularMdp:
     n, n_actions, gamma, absorbing = (doc[f] for f in ("n_states", "n_actions", "gamma",
                                                         "absorbing"))
     problems = [f"{path}: field '{f}' must be a positive integer, got {doc[f]!r}"
-                for f in ("n_states", "n_actions") if not is_json_int(doc[f]) or doc[f] < 1]
+                for f in ("n_states", "n_actions") if not _is_json_int(doc[f]) or doc[f] < 1]
     sized = not problems  # table shapes are checked only against valid sizes
     if type(doc["name"]) is not str:
         problems.append(f"{path}: field 'name' must be a string, got {doc['name']!r}")
-    if not is_json_number(gamma) or not 0 <= gamma < 1:
-        problems.append(f"{path}: field 'gamma' must be a number in [0, 1), got {gamma!r}")
-    if type(absorbing) is not list or not all(map(is_json_int, absorbing)):
+    if not _is_json_number(gamma):
+        problems.append(f"{path}: field 'gamma' must be a finite number, got {gamma!r}")
+    if type(absorbing) is not list or not all(map(_is_json_int, absorbing)):
         problems.append(f"{path}: field 'absorbing' must be a list of integer states,"
                         f" got {absorbing!r}")
     tables = {}
     for field, shape in (("transition", (n_actions, n, n)), ("reward_mean", (n, n_actions)),
-                         ("reward_std", (n, n_actions)), ("start_dist", (n,))):
+                         ("reward_std", (n, n_actions))):
         try:  # a ragged list or an int too large for a float fails the conversion
             arr = np.asarray(doc[field], dtype=float) if _is_number_table(doc[field]) else None
         except (ValueError, OverflowError):
@@ -266,10 +252,5 @@ def load_mdp_spec(path) -> TabularMdp:
         tables[field] = arr
     if problems:
         raise MdpSpecError(problems)
-
-    mdp = TabularMdp(tables["transition"], tables["reward_mean"], tables["reward_std"],
-                     gamma, tables["start_dist"], absorbing=set(absorbing), name=doc["name"])
-    violations = validate_mdp(mdp)
-    if violations:
-        raise MdpSpecError(violations)
-    return mdp
+    return TabularMdp(tables["transition"], tables["reward_mean"], tables["reward_std"],
+                      gamma, absorbing=set(absorbing), name=doc["name"])

@@ -27,8 +27,8 @@ import numpy as np
 from .data import (INTEGER, CollectionConfig, ConfigError, StartMode, check, check_types,
                    generate_dataset, is_real)
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
-                           build_two_goals, cliff_near_goal_states, is_json_int,
-                           load_mdp_spec, read_json_object)
+                           build_two_goals, cliff_near_goal_states, load_mdp_spec,
+                           read_json_object)
 from .estimation import count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp
@@ -124,6 +124,7 @@ class ExperimentConfig:
             (not 0 <= self.master_seed < 2 ** 64, "master_seed must fit in 64 bits"),
             (self.gamma is not None and not 0.0 <= self.gamma < 1.0,
              f"gamma override {self.gamma} outside [0, 1)"),
+            (self.out == "", "out must not be an empty path"),
         ))
 
 
@@ -399,8 +400,7 @@ def _start_mode(value, problems: list[str]) -> StartMode:
         return StartMode.uniform()
     if isinstance(value, dict) and list(value) in (["fixed"], ["set"]):
         states = value.get("set", [value.get("fixed")])
-        if isinstance(states, list) and states and all(map(is_json_int, states)):
-            return _build(problems, StartMode.uniform(), StartMode, next(iter(value)), states)
+        return _build(problems, StartMode.uniform(), StartMode, next(iter(value)), states)
     problems.append('collection.start_mode must be "uniform", {"fixed": s} or'
                     f' {{"set": [s, ...]}}, got {value!r}')
     return StartMode.uniform()

@@ -30,30 +30,40 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+class MdpSpecError(ValueError):
+    """An invalid MDP: a TabularMdp that breaks an invariant, or a spec file
+    that cannot be parsed into one; ``problems`` holds one message per problem."""
+
+    def __init__(self, problems: str | list[str]):
+        self.problems = [problems] if isinstance(problems, str) else problems
+        super().__init__("; ".join(self.problems))
+
+
 @dataclass(frozen=True)
 class TabularMdp:
     """Finite MDP with per-action transition matrices and Gaussian rewards.
 
     ``transition[a, s, s']`` is the probability of landing in ``s'`` when
     taking action ``a`` in state ``s``. Absorbing states self-loop under
-    every action and pay zero reward forever.
+    every action and pay zero reward forever. Building one, ``replace``
+    included, checks every invariant: it raises one MdpSpecError listing
+    every violation.
     """
 
     transition: np.ndarray   # (n_actions, n_states, n_states)
     reward_mean: np.ndarray  # (n_states, n_actions)
     reward_std: np.ndarray   # (n_states, n_actions)
     gamma: float
-    start_dist: np.ndarray   # (n_states,)
     absorbing: frozenset[int] = frozenset()
     name: str = "mdp"
 
     def __post_init__(self):
-        object.__setattr__(self, "transition", _freeze(self.transition))
-        object.__setattr__(self, "reward_mean", _freeze(self.reward_mean))
-        object.__setattr__(self, "reward_std", _freeze(self.reward_std))
-        object.__setattr__(self, "start_dist", _freeze(self.start_dist))
+        for field in ("transition", "reward_mean", "reward_std"):
+            object.__setattr__(self, field, _freeze(getattr(self, field)))
         object.__setattr__(self, "gamma", float(self.gamma))
         object.__setattr__(self, "absorbing", frozenset(int(s) for s in self.absorbing))
+        if problems := self._violations():
+            raise MdpSpecError(problems)
 
     @property
     def n_states(self) -> int:
@@ -63,71 +73,45 @@ class TabularMdp:
     def n_actions(self) -> int:
         return self.transition.shape[0]
 
+    def _violations(self) -> list[str]:
+        """One message per violated invariant; none if the MDP is well-formed."""
+        t, r_mean, r_std = self.transition, self.reward_mean, self.reward_std
+        if t.ndim != 3 or t.shape[1] != t.shape[2]:
+            return [f"transition must be (n_actions, N, N), got shape {t.shape}"]
+        n_actions, n = t.shape[:2]
+        report = []
+        if r_mean.shape != (n, n_actions):
+            report.append(f"reward_mean must have shape ({n}, {n_actions}), got {r_mean.shape}")
+        if r_std.shape != (n, n_actions):
+            report.append(f"reward_std must have shape ({n}, {n_actions}), got {r_std.shape}")
+        elif np.any(r_std < 0):
+            report.append("reward_std has negative entries")
 
-def validate_mdp(mdp: TabularMdp) -> list[str]:
-    """Check every structural invariant, returning one message per violation.
+        for field, arr in (("transition", t), ("reward_mean", r_mean), ("reward_std", r_std)):
+            bad = np.argwhere(~np.isfinite(arr))
+            if len(bad):
+                report.append(f"{field} has a non-finite entry at index {tuple(bad[0].tolist())}")
+        if np.any(t < 0):
+            a, s, _ = np.argwhere(t < 0)[0]
+            report.append(f"transition action {a} row {s} has a negative entry")
+        row_sums = t.sum(axis=2)
+        for a, s in np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL):
+            report.append(f"transition action {a} row {s} sums to {row_sums[a, s]:.6g}")
 
-    An empty list means the MDP is well-formed. Reports rather than raises
-    so callers (the spec-file linter in particular) can show all defects at
-    once.
-    """
-    report: list[str] = []
-    t = mdp.transition
-    if t.ndim != 3 or t.shape[1] != t.shape[2]:
-        report.append(f"transition must be (n_actions, N, N), got shape {t.shape}")
+        if not 0.0 <= self.gamma < 1.0:
+            report.append(f"gamma out of range [0, 1): got {self.gamma:.6g}")
+
+        for s in sorted(self.absorbing):
+            if not 0 <= s < n:
+                report.append(f"absorbing state {s} out of range [0, {n})")
+                continue
+            for a in range(n_actions):
+                if np.abs(t[a, s] - np.eye(n)[s]).max() > PROB_TOL:
+                    report.append(f"absorbing state {s} is not a self-loop under action {a}")
+                if r_mean.shape == (n, n_actions) and r_mean[s, a] != 0.0:
+                    report.append(f"absorbing state {s} has nonzero reward_mean"
+                                  f" {r_mean[s, a]:.6g} under action {a}")
         return report
-    n_actions, n = t.shape[0], t.shape[1]
-    if mdp.reward_mean.shape != (n, n_actions):
-        report.append(
-            f"reward_mean must have shape ({n}, {n_actions}), got {mdp.reward_mean.shape}"
-        )
-    if mdp.reward_std.shape != (n, n_actions):
-        report.append(
-            f"reward_std must have shape ({n}, {n_actions}), got {mdp.reward_std.shape}"
-        )
-    elif np.any(mdp.reward_std < 0):
-        report.append("reward_std has negative entries")
-
-    for field in ("transition", "reward_mean", "reward_std", "start_dist"):
-        bad = np.argwhere(~np.isfinite(getattr(mdp, field)))
-        if len(bad):
-            report.append(f"{field} has a non-finite entry at index {tuple(bad[0].tolist())}")
-    if np.any(t < 0):
-        a, s, _ = np.argwhere(t < 0)[0]
-        report.append(f"transition action {a} row {s} has a negative entry")
-    row_sums = t.sum(axis=2)
-    bad = np.argwhere(np.abs(row_sums - 1.0) > PROB_TOL)
-    for a, s in bad:
-        report.append(f"transition action {a} row {s} sums to {row_sums[a, s]:.6g}")
-
-    if mdp.start_dist.shape != (n,):
-        report.append(f"start_dist must have length {n}, got shape {mdp.start_dist.shape}")
-    else:
-        if np.any(mdp.start_dist < 0):
-            report.append("start_dist has negative entries")
-        total = mdp.start_dist.sum()
-        if abs(total - 1.0) > PROB_TOL:
-            report.append(f"start_dist sums to {total:.6g}")
-
-    if not 0.0 <= mdp.gamma < 1.0:
-        report.append(f"gamma out of range [0, 1): got {mdp.gamma:.6g}")
-
-    for s in sorted(mdp.absorbing):
-        if not 0 <= s < n:
-            report.append(f"absorbing state {s} out of range [0, {n})")
-            continue
-        for a in range(n_actions):
-            row = t[a, s]
-            expected = np.zeros(n)
-            expected[s] = 1.0
-            if np.abs(row - expected).max() > PROB_TOL:
-                report.append(f"absorbing state {s} is not a self-loop under action {a}")
-            if mdp.reward_mean.shape == (n, n_actions) and mdp.reward_mean[s, a] != 0.0:
-                report.append(
-                    f"absorbing state {s} has nonzero reward_mean {mdp.reward_mean[s, a]:.6g}"
-                    f" under action {a}"
-                )
-    return report
 
 
 def apply_reward_shift(mdp: TabularMdp, x: float) -> TabularMdp:

@@ -46,7 +46,7 @@ def random_mdp(rng: np.random.Generator, n_states: int, n_actions: int,
         r = np.repeat(rng.uniform(-1.0, 1.0, (n_states, 1)), n_actions, axis=1)
     else:
         r = rng.uniform(-1.0, 1.0, (n_states, n_actions))
-    return TabularMdp(t, r, np.zeros_like(r), gamma, np.full(n_states, 1.0 / n_states))
+    return TabularMdp(t, r, np.zeros_like(r), gamma)
 
 
 def random_uniform_visit_counts(rng: np.random.Generator, n_states: int,

@@ -157,7 +157,7 @@ def near_tie_mdp(seed: int, n: int, n_actions: int, copies: str, reward_std: flo
     if copies == "permute":
         perm = rng.permuted(np.tile(np.arange(n_actions), (n, 1)), axis=1)  # (s, a)
         t, r = t[perm.T, np.arange(n)[None, :]], np.take_along_axis(r, perm, axis=1)
-    return TabularMdp(t, r, np.full((n, n_actions), reward_std), 0.9, np.full(n, 1.0 / n))
+    return TabularMdp(t, r, np.full((n, n_actions), reward_std), 0.9)
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,7 +291,7 @@ def test_config_loader_raises_only_config_errors(doc):
 
 DROP = object()  # marks a spec field removed from the file
 # (k, leaf): the field keeps its shape, with its k-th number (mod the count) set to
-# leaf, so that the file parses and validate_mdp judges it
+# leaf, so that the file parses and TabularMdp judges it
 POKE = st.tuples(st.integers(0, 10**4),
                  st.sampled_from([np.nan, np.inf, -np.inf, -1, 0, 5, 0.5]))
 

@@ -159,6 +159,24 @@ def test_out_that_is_a_directory_fails_before_running(tmp_path, capsys, monkeypa
     assert os.listdir(out) == []
 
 
+@pytest.mark.parametrize("route", ["preset", "config"])
+def test_empty_out_fails_before_running(tmp_path, capsys, monkeypatch, route):
+    def no_run(cfg):
+        raise AssertionError("a replication ran")
+
+    monkeypatch.setattr("mdpreg.cli.run_experiment", no_run)
+    monkeypatch.chdir(tmp_path)
+    Path("exp.json").write_text(json.dumps({"mdp": "grid", "out": "", "collection": {
+        "n_trajectories": 3, "trajectory_length": 5}}))
+    argv = {"preset": ["preset", "grid-random", "--replications", "2", "--out", ""],
+            "config": ["run", "--config", "exp.json"]}[route]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: out must not be an empty path\n"
+    assert captured.out == ""
+    assert os.listdir(tmp_path) == ["exp.json"]
+
+
 def test_run_takes_only_a_config(capsys):
     # `mdpreg preset NAME` runs a preset; `run --preset` is a usage error
     with pytest.raises(SystemExit) as exc:
@@ -254,8 +272,8 @@ def _set_nan(doc, table, index):
 
 
 @pytest.mark.parametrize("edit,needle", [
-    (lambda doc: doc.update(gamma="x"), "field 'gamma' must be a number in [0, 1)"),
-    (lambda doc: doc.update(gamma=None), "field 'gamma' must be a number in [0, 1)"),
+    (lambda doc: doc.update(gamma="x"), "field 'gamma' must be a finite number, got 'x'"),
+    (lambda doc: doc.update(gamma=None), "field 'gamma' must be a finite number, got None"),
     (lambda doc: doc.update(absorbing=5), "field 'absorbing' must be a list of integer"),
     (lambda doc: doc.update(absorbing=["a"]), "field 'absorbing' must be a list of integer"),
     (lambda doc: doc.update(absorbing=[1.5]), "field 'absorbing' must be a list of integer"),
@@ -266,18 +284,18 @@ def _set_nan(doc, table, index):
      "reward_mean has a non-finite entry at index (4, 1)"),
     (lambda doc: doc["reward_std"][0].__setitem__(0, "0.5"),
      "field 'reward_std' must be nested lists of JSON numbers"),
-    (lambda doc: doc.update(start_dist=[True] + [False] * 11),
-     "field 'start_dist' must be nested lists of JSON numbers"),
+    (lambda doc: doc["reward_mean"][0].__setitem__(0, True),
+     "field 'reward_mean' must be nested lists of JSON numbers"),
     (lambda doc: doc["transition"][1].pop(), "field 'transition' must be nested lists"),
     (lambda doc: doc.update(reward_mean=[[10 ** 400] * 3] * 12),
      "field 'reward_mean' must be nested lists of JSON numbers"),
     (lambda doc: doc.update(name=["x"]), "field 'name' must be a string, got ['x']"),
-    (lambda doc: doc.update(start_dist=doc["start_dist"][:5]),
-     "field 'start_dist' must have shape (12,), got (5,)"),
+    (lambda doc: doc.update(reward_std=doc["reward_std"][:5]),
+     "field 'reward_std' must have shape (12, 3), got (5, 3)"),
 ], ids=["gamma-string", "gamma-null", "absorbing-int", "absorbing-strings",
         "absorbing-float", "n_states-string", "transition-nan", "reward_mean-nan",
-        "reward_std-string", "start_dist-bool", "transition-ragged", "reward_mean-huge-int",
-        "name-list", "start_dist-shape"])
+        "reward_std-string", "reward_mean-bool", "transition-ragged", "reward_mean-huge-int",
+        "name-list", "reward_std-shape"])
 def test_mdp_validate_rejects_malformed_field(tmp_path, capsys, edit, needle):
     path = tmp_path / "tg.json"
     save_mdp_spec(build_two_goals(), path)
@@ -295,14 +313,14 @@ def test_mdp_validate_reports_every_spec_problem(tmp_path, capsys):
     path = tmp_path / "tg.json"
     save_mdp_spec(build_two_goals(), path)
     doc = json.loads(path.read_text())
-    doc.update(name=7, reward_std=doc["reward_std"][:3], start_dist=[0.5, 0.5],
+    doc.update(name=7, reward_std=doc["reward_std"][:3], reward_mean=doc["reward_mean"][:2],
                transition=doc["transition"][:2])
     path.write_text(json.dumps(doc))
     assert main(["mdp", "validate", str(path)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 4 and all(line.startswith("error: ") for line in lines)
     for needle in ("'name' must be a string", "'transition' must have shape (3, 12, 12)",
-                   "'reward_std' must have shape (12, 3)", "'start_dist' must have shape (12,)"):
+                   "'reward_std' must have shape (12, 3)", "'reward_mean' must have shape (12, 3)"):
         assert sum(needle in line for line in lines) == 1
 
 

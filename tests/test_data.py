@@ -22,8 +22,7 @@ def make_mdp(n=3, n_actions=2, gamma=0.9, seed=5, absorbing=()):
     r = rng.uniform(-1, 1, (n, n_actions))
     for s in absorbing:
         r[s, :] = 0.0
-    return TabularMdp(t, r, np.full((n, n_actions), 0.1), gamma,
-                      np.full(n, 1.0 / n), absorbing=set(absorbing))
+    return TabularMdp(t, r, np.full((n, n_actions), 0.1), gamma, absorbing=set(absorbing))
 
 
 def greedy_zero(mdp):
@@ -135,6 +134,19 @@ def test_start_mode_validation():
         StartMode.fixed(5).distribution(3)
     with pytest.raises(ConfigError, match="duplicates"):  # its distribution summed to 2/3
         StartMode.subset([0, 0, 1])
+    assert StartMode.subset(np.array([2, 0])).states == (2, 0)  # numpy integers pass
+
+
+@pytest.mark.parametrize("build, got", [
+    (lambda: StartMode.fixed(1.5), "(1.5,)"),
+    (lambda: StartMode("set", [True, 2]), "[True, 2]"),
+    (lambda: StartMode("set", ["a"]), "['a']"),
+    (lambda: StartMode("fixed", 3), "3"),
+], ids=["float", "bool", "string", "not-a-list"])
+def test_start_states_must_be_integers(build, got):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert err.value.problems == [f"start states must be a tuple or list of integers, got {got}"]
 
 
 def test_collection_config_validation():
@@ -197,8 +209,7 @@ def collection_cases(draw):
         t[:, s] = np.eye(n)[s]
     mean = rng.uniform(-1, 1, (n, n_actions))
     mean[list(absorbing)] = 0.0
-    mdp = TabularMdp(t, mean, rng.uniform(0, 1, (n, n_actions)), 0.9, np.full(n, 1 / n),
-                     absorbing=absorbing)
+    mdp = TabularMdp(t, mean, rng.uniform(0, 1, (n, n_actions)), 0.9, absorbing=absorbing)
     states = st.integers(0, n - 1)
     start = draw(st.one_of(st.just(StartMode.uniform()), states.map(StartMode.fixed),
                            st.lists(states, min_size=1, unique=True).map(StartMode.subset)))
@@ -274,7 +285,7 @@ def test_lockstep_generator_matches_the_previous_sampler_in_distribution():
     t[:, 3, 3] = 1.0
     mean = rng.uniform(-1, 1, (n, n_actions))
     mean[3] = 0.0
-    mdp = TabularMdp(t, mean, np.ones((n, n_actions)), 0.9, np.full(n, 1 / n), absorbing={3})
+    mdp = TabularMdp(t, mean, np.ones((n, n_actions)), 0.9, absorbing={3})
     optimal = np.array([1, 0, 1, 0])
     cfg = CollectionConfig(3000, 10, p_optimal=0.5)
     new = generate_dataset(mdp, optimal, cfg, 2024)

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from mdpreg import (GridNoiseConfig, MdpSpecError, PlanningProblem, TabularMdp,
                     build_cliff_walk, build_interconnected_grid, build_two_goals,
                     cliff_near_goal_states, load_mdp_spec, policy_evaluation,
-                    policy_iteration, save_mdp_spec, validate_mdp)
+                    policy_iteration, save_mdp_spec)
 from mdpreg.environments import (CLIFF_CELLS, CLIFF_GOAL, CLIFF_START, GRID_OUT_NEIGHBORS,
                                  GRID_REWARD_MEANS)
 
@@ -19,10 +19,10 @@ NOISELESS = GridNoiseConfig(slip_prob=0.0, reward_std=0.0)
 @pytest.mark.parametrize("slip", [0.0, 0.1, 0.5, 0.9])
 @pytest.mark.parametrize("std", [0.0, 0.25])
 def test_builders_always_produce_valid_mdps(slip, std):
-    noise = GridNoiseConfig(slip, std)
-    assert validate_mdp(build_cliff_walk(noise)) == []
-    assert validate_mdp(build_two_goals(noise)) == []
-    assert validate_mdp(build_interconnected_grid()) == []
+    noise = GridNoiseConfig(slip, std)  # a TabularMdp checks itself as it is built
+    build_cliff_walk(noise)
+    build_two_goals(noise)
+    build_interconnected_grid()
 
 
 class TestCliffWalk:
@@ -163,7 +163,6 @@ class TestSpecFiles:
         np.testing.assert_array_equal(loaded.transition, mdp.transition)
         np.testing.assert_array_equal(loaded.reward_mean, mdp.reward_mean)
         np.testing.assert_array_equal(loaded.reward_std, mdp.reward_std)
-        np.testing.assert_array_equal(loaded.start_dist, mdp.start_dist)
         assert loaded.gamma == mdp.gamma
         assert loaded.absorbing == mdp.absorbing
         assert loaded.name == mdp.name
@@ -199,9 +198,9 @@ class TestSpecFiles:
         path = tmp_path / "shape.json"
         save_mdp_spec(mdp, path)
         doc = json.loads(path.read_text())
-        doc["start_dist"] = doc["start_dist"][:-1]
+        doc["reward_mean"] = doc["reward_mean"][:-1]
         path.write_text(json.dumps(doc))
-        with pytest.raises(MdpSpecError, match="start_dist"):
+        with pytest.raises(MdpSpecError, match="reward_mean"):
             load_mdp_spec(path)
 
 
@@ -219,12 +218,18 @@ def test_spec_round_trip_is_exact_on_random_mdps(tmp_path_factory, seed, n, n_ac
         t[:, s, :] = 0.0
         t[:, s, s] = 1.0
         r[s, :] = 0.0
-    mdp = TabularMdp(t, r, rng.uniform(0, 2, (n, n_actions)), gamma,
-                     rng.dirichlet(np.ones(n)), absorbing=absorbing, name=name)
-    assert validate_mdp(mdp) == []
+    mdp = TabularMdp(t, r, rng.uniform(0, 2, (n, n_actions)), gamma, absorbing=absorbing,
+                     name=name)
     path = tmp_path_factory.mktemp("spec") / "mdp.json"
     save_mdp_spec(mdp, path)
-    loaded = load_mdp_spec(path)
-    for field in ("transition", "reward_mean", "reward_std", "start_dist"):
-        np.testing.assert_array_equal(getattr(loaded, field), getattr(mdp, field))
-    assert (loaded.gamma, loaded.absorbing, loaded.name) == (mdp.gamma, mdp.absorbing, mdp.name)
+    # a file of the older schema also holds start_dist, which no run reads: it is
+    # ignored, whatever it holds
+    doc = json.loads(path.read_text())
+    old_path = path.with_name("old.json")
+    old_path.write_text(json.dumps({**doc, "start_dist": data.draw(st.sampled_from(
+        [rng.dirichlet(np.ones(n)).tolist(), [0.7] * (n + 1), "x", None]))}))
+    for loaded in (load_mdp_spec(path), load_mdp_spec(old_path)):
+        for field in ("transition", "reward_mean", "reward_std"):
+            np.testing.assert_array_equal(getattr(loaded, field), getattr(mdp, field))
+        assert ((loaded.gamma, loaded.absorbing, loaded.name)
+                == (mdp.gamma, mdp.absorbing, mdp.name))

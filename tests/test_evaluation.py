@@ -14,15 +14,14 @@ def plain_model(t, method="eps_greedy"):
 
 
 class TestPolicyLoss:
-    """The policy loss, start_dist @ (v_opt - v_reg), from values evaluated in
-    the true MDP (the harness computes it this way)."""
+    """The policy loss, start weights @ (v_opt - v_reg), from values evaluated
+    in the true MDP (the harness computes it this way)."""
 
     def test_identical_policies_lose_nothing(self):
-        mdp = make_two_state()
-        problem = PlanningProblem.from_mdp(mdp)
+        problem = PlanningProblem.from_mdp(make_two_state())
         pi = np.array([1, 0])
         v = policy_evaluation(problem, pi)
-        assert mdp.start_dist @ (v - policy_evaluation(problem, pi.copy())) == 0.0
+        assert np.array([0.5, 0.5]) @ (v - policy_evaluation(problem, pi.copy())) == 0.0
 
     def test_hand_computed_value_gap(self):
         # optimal: switch at 0, stay at 1 -> V = (1, 2); staying at 0 earns 0,
@@ -43,7 +42,7 @@ class TestPolicyLoss:
             v_opt = policy_evaluation(problem, policy_iteration(problem)[0])
             v_reg = policy_evaluation(problem, rng.integers(0, 3, 5))
             assert np.all(v_opt - v_reg >= -1e-9)
-            assert mdp.start_dist @ (v_opt - v_reg) >= -1e-9
+            assert np.full(5, 0.2) @ (v_opt - v_reg) >= -1e-9
 
 
 class TestTransitionMse:

@@ -634,9 +634,9 @@ class TestConfigFile:
         with pytest.raises(ConfigError) as err:
             load_experiment_config(path)
         assert len(err.value.problems) == 1
-        # the loader checks the start_mode spelling, CollectionConfig the other fields
-        where = "collection." if field == "start_mode" else ""
-        assert err.value.problems[0].startswith(f"{where}{field} must be")
+        # the loader checks the start_mode spelling, StartMode its states
+        field = "start states" if field == "start_mode" else field
+        assert err.value.problems[0].startswith(f"{field} must be")
 
     def test_every_problem_is_reported(self, tmp_path):
         path = tmp_path / "exp.json"

@@ -1,6 +1,6 @@
 """Runs the README's "Library example" code block and every `mdpreg` line of
-its shell blocks, and loads its config example, so that the examples keep
-working as the library and the command line change."""
+its shell blocks, and loads its config and MDP spec examples, so that the
+examples keep working as the library and the command line change."""
 
 import json
 import re
@@ -9,7 +9,8 @@ from dataclasses import fields
 from pathlib import Path
 
 from mdpreg import (CollectionConfig, ExperimentConfig, ResultRow, build_two_goals,
-                    builtin_presets, cli, load_experiment_config)
+                    builtin_presets, cli, load_experiment_config, load_mdp_spec)
+from mdpreg.environments import _SPEC_FIELDS
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -33,6 +34,16 @@ def test_config_block_loads_and_names_every_field(tmp_path):
     doc = json.loads(block)
     assert set(doc) == {f.name for f in fields(ExperimentConfig)}
     assert set(doc["collection"]) == {f.name for f in fields(CollectionConfig)}
+
+
+def test_spec_block_loads_and_names_every_field(tmp_path):
+    section = README.read_text(encoding="utf-8").split("## MDP spec file (JSON)", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, flags=re.S).group(1)
+    path = tmp_path / "mdp.json"
+    path.write_text(block, encoding="utf-8")
+    mdp = load_mdp_spec(path)
+    assert (mdp.name, mdp.n_states, mdp.n_actions) == ("my_mdp", 2, 1)
+    assert set(json.loads(block)) == set(_SPEC_FIELDS)
 
 
 def test_cli_lines_parse_and_exit_0(tmp_path, monkeypatch, capsys):
