@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import TabularMdp
+from .mdp import TabularMdp, is_integer
 
 
 def is_real(value) -> bool:
@@ -28,8 +28,8 @@ def is_real(value) -> bool:
             and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
 
 
-# (check, expected type) of an integer config field; numpy integers pass, bool does not
-INTEGER = (lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool), "an integer")
+# (check, expected type) of an integer config field
+INTEGER = (is_integer, "an integer")
 
 
 class ConfigError(ValueError):

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mdp import DEFAULT_GAMMA, MdpSpecError, TabularMdp
+from .data import is_real
+from .mdp import DEFAULT_GAMMA, MdpSpecError, TabularMdp, is_integer
 
 CLIFF_WIDTH = 12
 CLIFF_HEIGHT = 4
@@ -43,10 +44,10 @@ class GridNoiseConfig:
     reward_std: float = 0.25
 
     def __post_init__(self):
-        if not 0.0 <= self.slip_prob < 1.0:
-            raise ValueError(f"slip_prob must be in [0, 1), got {self.slip_prob}")
-        if self.reward_std < 0.0:
-            raise ValueError(f"reward_std must be nonnegative, got {self.reward_std}")
+        if not (is_real(self.slip_prob) and 0.0 <= self.slip_prob < 1.0):
+            raise ValueError(f"slip_prob must be a real number in [0, 1), got {self.slip_prob!r}")
+        if not (is_real(self.reward_std) and self.reward_std >= 0.0):
+            raise ValueError(f"reward_std must be a real number >= 0, got {self.reward_std!r}")
 
 
 # Stand-in for the dense 10-state example whose exact arrow diagram is not
@@ -195,11 +196,6 @@ def read_json_object(path, error) -> dict:
     return doc
 
 
-def _is_json_int(value) -> bool:
-    """A JSON integer; ``type`` keeps JSON booleans out."""
-    return type(value) is int
-
-
 def _is_json_number(value) -> bool:
     """A JSON int or float that converts to a finite float."""
     return type(value) in (int, float) and abs(value) <= sys.float_info.max
@@ -228,13 +224,13 @@ def load_mdp_spec(path) -> TabularMdp:
     n, n_actions, gamma, absorbing = (doc[f] for f in ("n_states", "n_actions", "gamma",
                                                         "absorbing"))
     problems = [f"{path}: field '{f}' must be a positive integer, got {doc[f]!r}"
-                for f in ("n_states", "n_actions") if not _is_json_int(doc[f]) or doc[f] < 1]
+                for f in ("n_states", "n_actions") if not is_integer(doc[f]) or doc[f] < 1]
     sized = not problems  # table shapes are checked only against valid sizes
     if type(doc["name"]) is not str:
         problems.append(f"{path}: field 'name' must be a string, got {doc['name']!r}")
     if not _is_json_number(gamma):
         problems.append(f"{path}: field 'gamma' must be a finite number, got {gamma!r}")
-    if type(absorbing) is not list or not all(map(_is_json_int, absorbing)):
+    if type(absorbing) is not list or not all(map(is_integer, absorbing)):
         problems.append(f"{path}: field 'absorbing' must be a list of integer states,"
                         f" got {absorbing!r}")
     tables = {}

@@ -11,13 +11,13 @@ from .regularizers import RegularizedModel
 
 @dataclass(frozen=True)
 class MseResult:
-    mse_plain: float
-    mse_absorbing: float
+    mse_plain: np.ndarray      # shaped like the batch of cells; a scalar for one cell
+    mse_absorbing: np.ndarray  # likewise
 
 
 def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
     """Mean squared entrywise difference between true and regularized matrices,
-    one value per cell for a batch.
+    one value per cell of the batch ``reg.t_reg.shape[:-3]``.
 
     For the discount method the rows are substochastic; the missing mass is
     an implicit absorbing state entered with probability eps each step.
@@ -37,6 +37,4 @@ def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
     mse_plain = total / t_true.size
     mse_absorbing = np.where(np.asarray(reg.method) == "discount",
                              (total + exit_sq) / (n_actions * (n + 1) ** 2), mse_plain)
-    if t_reg.ndim == 3:
-        return MseResult(float(mse_plain), float(mse_absorbing))
-    return MseResult(mse_plain, mse_absorbing)
+    return MseResult(mse_plain, mse_absorbing[()])  # [()]: a scalar for one cell

@@ -5,9 +5,11 @@ Conventions used throughout the package:
 * transition matrices are stacked per action: ``transition[a, s, s']``;
 * rewards are Gaussian per state-action pair: ``reward_mean[s, a]``,
   ``reward_std[s, a]``;
-* a deterministic policy is an integer array of shape ``(n_states,)``;
-* a value function is a float array ``(n_states,)`` and a Q-function a
-  float array ``(n_states, n_actions)``.
+* a deterministic policy is an integer array ``(..., n_states)``, a value
+  function a float array ``(..., n_states)`` and a Q-function a float array
+  ``(..., n_states, n_actions)``; the engine's arrays (blended matrices,
+  planning problems with one reward table each, policies, values, MSEs)
+  take leading batch axes ``...``; a single one has the empty batch shape.
 
 Everything is immutable after construction (arrays are marked read-only),
 so models can be shared freely across worker processes.
@@ -15,6 +17,7 @@ so models can be shared freely across worker processes.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -28,6 +31,11 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.array(arr, dtype=float)
     out.setflags(write=False)
     return out
+
+
+def is_integer(value) -> bool:
+    """An integer, such as a state index: numpy integers pass, bool does not."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class MdpSpecError(ValueError):
@@ -61,7 +69,8 @@ class TabularMdp:
         for field in ("transition", "reward_mean", "reward_std"):
             object.__setattr__(self, field, _freeze(getattr(self, field)))
         object.__setattr__(self, "gamma", float(self.gamma))
-        object.__setattr__(self, "absorbing", frozenset(int(s) for s in self.absorbing))
+        object.__setattr__(self, "absorbing", frozenset(int(s) if is_integer(s) else s
+                                                        for s in self.absorbing))
         if problems := self._violations():
             raise MdpSpecError(problems)
 
@@ -100,8 +109,12 @@ class TabularMdp:
 
         if not 0.0 <= self.gamma < 1.0:
             report.append(f"gamma out of range [0, 1): got {self.gamma:.6g}")
+        if not isinstance(self.name, str):
+            report.append(f"name must be a string, got {self.name!r}")
 
-        for s in sorted(self.absorbing):
+        report += sorted(f"absorbing state {s!r} is not an integer"
+                         for s in self.absorbing if not is_integer(s))
+        for s in sorted(filter(is_integer, self.absorbing)):
             if not 0 <= s < n:
                 report.append(f"absorbing state {s} out of range [0, {n})")
                 continue

@@ -25,7 +25,7 @@ _ROUNDOFF = 1e-12
 
 
 class PolicyIterationError(RuntimeError):
-    """Policy iteration hit the sweep limit; ``problems`` indexes the stack."""
+    """Policy iteration hit the sweep limit; ``problems`` indexes the flattened stack."""
 
     def __init__(self, problems: list[int]):
         super().__init__(f"policy iteration did not converge in {_MAX_SWEEPS} sweeps"
@@ -35,24 +35,30 @@ class PolicyIterationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PlanningProblem:
-    """One problem, or a stack of problems sharing r and gamma."""
+    """A stack of problems with leading batch axes ``...``, one problem for the
+    empty batch shape; a reward table they share is a view, not a copy."""
 
-    t: np.ndarray      # ([cells,] n_actions, n_states, n_states), rows sum to <= 1
-    r: np.ndarray      # (n_states, n_actions)
+    t: np.ndarray      # (..., n_actions, n_states, n_states), rows sum to <= 1
+    r: np.ndarray      # (..., n_states, n_actions), broadcast to t's batch shape
     gamma: float
 
     def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float))
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
+        t, r = np.asarray(self.t, dtype=float), np.asarray(self.r, dtype=float)
+        object.__setattr__(self, "t", t)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         # "not all ok" rather than "any bad": NaN fails every comparison
-        if not (self.t >= -1e-12).all():
+        if not (t >= -1e-12).all():
             raise ValueError("transition matrices must be finite and nonnegative")
-        if not (self.t @ np.ones(self.n_states) <= 1.0 + 1e-9).all():  # row sums
+        if not (t @ np.ones(self.n_states) <= 1.0 + 1e-9).all():  # row sums
             raise ValueError("transition rows must sum to at most 1")
-        if not np.isfinite(self.r).all():
+        if not np.isfinite(r).all():
             raise ValueError("rewards must be finite")
+        shape = t.shape[:-3] + (self.n_states, self.n_actions)
+        try:
+            object.__setattr__(self, "r", np.broadcast_to(r, shape))
+        except ValueError:
+            raise ValueError(f"rewards of shape {r.shape} do not broadcast to {shape}") from None
 
     @property
     def n_states(self) -> int:
@@ -73,22 +79,23 @@ class PlanningProblem:
 
 def policy_evaluation(problem: PlanningProblem, policy: np.ndarray) -> np.ndarray:
     """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
-    may stack, (..., n_states): over one problem, or one per stacked problem."""
+    (..., n_states) broadcast against the problem's batch axes: one problem
+    under many policies, or one per stacked problem."""
     n = problem.n_states
     idx = np.arange(n)
-    cell = (np.arange(len(problem.t))[:, None],) if problem.t.ndim == 4 else ()
-    t_pi = problem.t[cell + (policy, idx)]
-    r_pi = problem.r[idx, policy]
+    cells = tuple(i[..., None] for i in np.indices(problem.t.shape[:-3], sparse=True))
+    t_pi = problem.t[cells + (policy, idx)]
+    r_pi = problem.r[cells + (idx, policy)]
     # I - gamma * T_pi, built in the gathered copy: no second stack-sized array
     system = np.subtract(np.eye(n), np.multiply(problem.gamma, t_pi, out=t_pi), out=t_pi)
     return np.linalg.solve(system, r_pi[..., None])[..., 0]
 
 
 def q_from_values(problem: PlanningProblem, v: np.ndarray) -> np.ndarray:
-    """One-step lookahead: Q[..., s, a] = r[s, a] + gamma * t[..., a, s, :] @ v,
+    """One-step lookahead: Q[..., s, a] = r[..., s, a] + gamma * t[..., a, s, :] @ v,
     a view of memory laid out (..., a, s)."""
     tv = (problem.t @ v[..., None, :, None])[..., 0]
-    return np.swapaxes(problem.r.T + problem.gamma * tv, -1, -2)
+    return (problem.r.swapaxes(-1, -2) + problem.gamma * tv).swapaxes(-1, -2)
 
 
 def greedy_from_q(q: np.ndarray) -> np.ndarray:
@@ -98,11 +105,11 @@ def greedy_from_q(q: np.ndarray) -> np.ndarray:
 
 
 def q_gaps(q: np.ndarray) -> np.ndarray:
-    """Per-state gap between the best and second-best action values."""
-    if q.shape[1] < 2:
-        return np.full(q.shape[0], np.inf)
-    top2 = np.partition(q, q.shape[1] - 2, axis=1)[:, -2:]
-    return top2[:, 1] - top2[:, 0]
+    """Per-state gap between the best and second-best of the last axis' values."""
+    if q.shape[-1] < 2:
+        return np.full(q.shape[:-1], np.inf)
+    top2 = np.partition(q, q.shape[-1] - 2, axis=-1)[..., -2:]
+    return top2[..., 1] - top2[..., 0]
 
 
 def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None = None
@@ -117,21 +124,29 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
     The returned policy is re-canonicalized through greedy_from_q,
     breaking all ties toward the lowest action index within TIE_TOL.
 
-    A stack returns (cells, n_states) policies and (cells, n_states,
-    n_actions) Q-functions, with ``initial_policy`` shared or one per problem.
-    Each problem takes exactly the sweeps it would alone; a sweep solves the
-    problems not yet converged in one batched solve.
+    A stack of batch shape ``...`` returns (..., n_states) policies and
+    (..., n_states, n_actions) Q-functions, with ``initial_policy`` shared or
+    one per problem. Each problem takes exactly the sweeps it would alone; a
+    sweep solves the problems not yet converged in one batched solve.
     """
-    t = problem.t if problem.t.ndim == 4 else problem.t[None]
-    k, n_actions, n = t.shape[:3]
-    policy = np.empty((k, n), dtype=np.int64)
-    policy[...] = 0 if initial_policy is None else initial_policy
-    q_final, active, states = np.empty((k, n_actions, n)), np.arange(k), np.arange(n)
-    sub = problem  # the problems still active
+    batch, (n_actions, n) = problem.t.shape[:-3], problem.t.shape[-3:-1]
+    init = np.asarray(0 if initial_policy is None else initial_policy)
+    # checked once, here: 1.7 would truncate to action 1 and -1 wrap to the last
+    if init.dtype.kind not in "iu" or not ((init >= 0) & (init < n_actions)).all():
+        raise ValueError(f"initial_policy must hold integer actions in [0, {n_actions}),"
+                         f" got {init.dtype} values {np.unique(init)}")
+    # the stack flattened to (k,) problems; sub holds those still active
+    t = problem.t.reshape((-1,) + problem.t.shape[-3:])
+    r = problem.r.reshape((-1,) + problem.r.shape[-2:])
+    policy = np.empty((len(t), n), dtype=np.int64)
+    policy.reshape(batch + (n,))[...] = init  # a ValueError unless init broadcasts
+    sub = copy(problem)  # a view of the checked stack: copy() skips __post_init__'s checks
+    vars(sub).update(t=t, r=r)
+    q_final, active, states = np.empty((len(t), n_actions, n)), np.arange(len(t)), np.arange(n)
     for _ in range(_MAX_SWEEPS):
         current = policy[active]
         # (k, a, s): reductions over actions run along contiguous states
-        q = np.swapaxes(q_from_values(sub, policy_evaluation(sub, current)), 1, 2)
+        q = q_from_values(sub, policy_evaluation(sub, current)).swapaxes(1, 2)
         slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
         kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))
@@ -140,11 +155,8 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
             q_final[active[stable]] = q[stable]
             active = active[~stable]
             if active.size == 0:
-                q = np.swapaxes(q_final, 1, 2)
-                pi = greedy_from_q(q)
-                return (pi, q) if problem.t.ndim == 4 else (pi[0], q[0])
-            # a slice of the checked stack: copy() skips __post_init__'s checks
-            sub = copy(problem)
-            object.__setattr__(sub, "t", t[active])
+                q = q_final.swapaxes(1, 2).reshape(batch + (n, n_actions))
+                return greedy_from_q(q), q
+            vars(sub).update(t=t[active], r=r[active])
     raise PolicyIterationError(active.tolist())
 

@@ -27,15 +27,14 @@ METHODS = ("dirichlet", "discount", "eps_greedy", "none")
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Blended per-action matrices, the method that made them (read by
-    ``transition_mse``), the reward estimate and the true discount every
-    method plans with. A batch of cells (see ``regularize``) has a tuple for
-    ``method`` and a leading cell axis on ``t_reg``.
+    """Blended per-action matrices with leading batch axes ``...``, one cell per
+    index (see ``regularize``), each cell's method (read by ``transition_mse``),
+    the reward estimate and the true discount every method plans with.
     """
 
-    t_reg: np.ndarray   # (n_actions, n_states, n_states), or (cells, ...) for a batch
+    t_reg: np.ndarray   # (..., n_actions, n_states, n_states)
     r_hat: np.ndarray   # (n_states, n_actions)
-    method: str | tuple[str, ...]
+    method: np.ndarray  # (...) of str
     gamma: float
 
 
@@ -72,22 +71,21 @@ def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
 def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
                strength, gamma: float) -> RegularizedModel:
     """Blend one cell; or, given equal-length sequences of methods and
-    strengths, a batch of cells stacked in order. ``strength`` is eps, or the
-    uniform prior magnitude of ``dirichlet``, the one method reading ``counts``.
+    strengths, a batch of cells stacked in order along the leading batch axes
+    ``np.shape(method)``. ``strength`` is eps, or the uniform prior magnitude
+    of ``dirichlet``, the one method reading ``counts``.
     """
-    single = isinstance(method, str)
-    methods = (method,) if single else tuple(method)
-    strengths = (strength,) if single else tuple(float(s) for s in strength)
-    if len(methods) != len(strengths):
-        raise ValueError(f"{len(methods)} methods but {len(strengths)} strengths")
-    action_mean = model.t_hat.mean(axis=0) if "eps_greedy" in methods else None
+    methods, strengths = np.asarray(method, dtype=str), np.asarray(strength, dtype=float)
+    if methods.shape != strengths.shape:
+        raise ValueError(f"{methods.shape} methods but {strengths.shape} strengths")
+    names = methods.ravel().tolist()
+    action_mean = model.t_hat.mean(axis=0) if "eps_greedy" in names else None
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
-    t_reg = np.empty((len(methods),) + model.t_hat.shape)
-    for i, (m, s) in enumerate(zip(methods, strengths)):
-        blend(model.t_hat, *_blend_terms(counts, action_mean, m, s), out=t_reg[i])
-    if not single:
-        return RegularizedModel(t_reg, model.r_hat, methods, gamma)
-    return RegularizedModel(t_reg[0], model.r_hat, method, gamma)
+    t_reg = np.empty(methods.shape + model.t_hat.shape)
+    cells = t_reg.reshape((-1,) + model.t_hat.shape)  # a view of the new stack
+    for out, m, s in zip(cells, names, strengths.ravel().tolist()):
+        blend(model.t_hat, *_blend_terms(counts, action_mean, m, s), out=out)
+    return RegularizedModel(t_reg, model.r_hat, methods, gamma)
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

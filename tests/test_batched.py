@@ -57,22 +57,25 @@ def count_sweeps(problem, **kwargs):
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), n_actions=st.integers(1, 4),
-       k=st.integers(1, 5), gamma=st.sampled_from([0.0, 0.5, 0.9, 0.99]),
-       warm=st.booleans())
-def test_stacked_policy_iteration_equals_per_problem_calls(seed, n, n_actions, k, gamma,
-                                                           warm):
+       batch=st.lists(st.integers(1, 4), max_size=2).map(tuple), shared_r=st.booleans(),
+       gamma=st.sampled_from([0.0, 0.5, 0.9, 0.99]), warm=st.booleans())
+def test_stacked_policy_iteration_equals_per_problem_calls(seed, n, n_actions, batch, shared_r,
+                                                           gamma, warm):
+    # a stack of any batch shape, the empty one included, gives each problem the
+    # bits of a call on that problem alone, whether it shares r or has its own
     rng = np.random.default_rng(seed)
-    t = rng.dirichlet(np.ones(n), size=(k, n_actions, n))
-    t *= rng.choice([1.0, 0.7], size=(k, n_actions, n, 1))  # some substochastic rows
-    r = rng.uniform(-1.0, 1.0, (n, n_actions))
-    init = rng.integers(0, n_actions, (k, n)) if warm else None
-    policy, q = policy_iteration(PlanningProblem(t, r, gamma), initial_policy=init)
-    assert policy.shape == (k, n) and q.shape == (k, n, n_actions)
-    for i in range(k):
-        one = PlanningProblem(t[i], r, gamma)
+    t = rng.dirichlet(np.ones(n), size=batch + (n_actions, n))
+    t *= rng.choice([1.0, 0.7], size=batch + (n_actions, n, 1))  # some substochastic rows
+    r = rng.uniform(-1.0, 1.0, (() if shared_r else batch) + (n, n_actions))
+    init = rng.integers(0, n_actions, batch + (n,)) if warm else None
+    stack = PlanningProblem(t, r, gamma)
+    policy, q = policy_iteration(stack, initial_policy=init)
+    assert policy.shape == batch + (n,) and q.shape == batch + (n, n_actions)
+    for i in np.ndindex(batch):
+        one = PlanningProblem(t[i], stack.r[i], gamma)
         pi_i, q_i = policy_iteration(one, initial_policy=None if init is None else init[i])
         np.testing.assert_array_equal(policy[i], pi_i)
-        np.testing.assert_allclose(q[i], q_i, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(q[i], q_i)
 
 
 @SETTINGS
@@ -243,6 +246,7 @@ def test_batched_transition_mse_matches_augmented_oracle(seed, n, n_actions, cel
                                                 strength, 0.95))
         assert (one.mse_plain, one.mse_absorbing) == (result.mse_plain[i],
                                                       result.mse_absorbing[i])
+        assert isinstance(one.mse_plain, float) and isinstance(one.mse_absorbing, float)
 
 
 @SETTINGS

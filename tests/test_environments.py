@@ -25,6 +25,17 @@ def test_builders_always_produce_valid_mdps(slip, std):
     build_interconnected_grid()
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("slip_prob", "x", r"slip_prob must be a real number in \[0, 1\), got 'x'"),
+    ("slip_prob", 1.0, r"slip_prob must be a real number in \[0, 1\), got 1.0"),
+    ("reward_std", "x", "reward_std must be a real number >= 0, got 'x'"),
+    ("reward_std", -0.5, "reward_std must be a real number >= 0, got -0.5"),
+])
+def test_noise_config_rejects_bad_values(field, value, problem):
+    with pytest.raises(ValueError, match=problem):
+        GridNoiseConfig(**{field: value})
+
+
 class TestCliffWalk:
     def test_geometry(self):
         mdp = build_cliff_walk()

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import mdpreg.harness as harness
+import mdpreg.planning as planning
 from mdpreg import (CollectionConfig, ConfigError, ExperimentConfig, StartMode,
                     builtin_presets, config_hash, emit_csv, emit_summary,
                     load_experiment_config, run_experiment, save_mdp_spec,
@@ -394,6 +395,36 @@ class TestWaves:
         assert [list(zip(*args[2:4])) for args in blends] == [
             list(ctx.cells[i:i + width]) for i in range(0, len(ctx.cells), width)]
         assert len(ctx.cells) == 53
+
+    # (calls, LU matrices) of the stacked solves inside policy iteration, then
+    # of the true-MDP evaluations, over replications 0-2 at seed 1729
+    @pytest.mark.parametrize("preset, planning_work, true_work", [
+        ("cliff-random", (116, 294), (3, 61)),
+        ("grid-random", (13, 461), (3, 13)),
+        ("twogoals-mixed", (14, 448), (3, 34)),
+    ])
+    def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
+        # exact counts: a change that adds solve calls or LU matrices fails here,
+        # while a timing on a shared host cannot resolve a few percent
+        cfg = replace(builtin_presets()[preset], master_seed=1729)
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        work = {"planning": [0, 0], "true": [0, 0]}
+
+        def counting(real, key):
+            def evaluate(problem, policy):
+                v = real(problem, policy)
+                work[key][0] += 1
+                work[key][1] += v.size // problem.n_states
+                return v
+            return evaluate
+
+        monkeypatch.setattr(planning, "policy_evaluation",
+                            counting(planning.policy_evaluation, "planning"))
+        monkeypatch.setattr(harness, "policy_evaluation",
+                            counting(harness.policy_evaluation, "true"))
+        for rep in range(3):
+            harness._replication_metrics(ctx, rep)
+        assert (tuple(work["planning"]), tuple(work["true"])) == (planning_work, true_work)
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's

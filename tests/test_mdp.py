@@ -69,6 +69,23 @@ def test_absorbing_violations_are_reported():
     assert any("nonzero reward_mean" in m for m in msgs)
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("absorbing", {1.5}, "absorbing state 1.5 is not an integer"),
+    ("absorbing", {True}, "absorbing state True is not an integer"),
+    ("name", 7, "name must be a string, got 7"),
+])
+def test_field_types_are_checked_not_coerced(field, value, problem):
+    # 1.5 would be stored as state 1, and name 7 would save to a spec file
+    # that load_mdp_spec rejects
+    assert problems_of(lambda: replace(make_two_state(), **{field: value})) == [problem]
+
+
+def test_numpy_integer_absorbing_states_become_ints():
+    t = np.ones((1, 1, 1))
+    mdp = TabularMdp(t, np.zeros((1, 1)), np.zeros((1, 1)), 0.9, absorbing={np.int64(0)})
+    assert mdp.absorbing == {0} and type(next(iter(mdp.absorbing))) is int
+
+
 # in the order they apply: an absorbing state made a true one first, so that no
 # later break is undone
 BREAKS = ("absorbing-loop", "negative", "nan", "row-sum", "absorbing-range", "gamma")

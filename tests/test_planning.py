@@ -110,6 +110,19 @@ class TestPolicyIteration:
         warm, _ = policy_iteration(problem, initial_policy=rng.integers(0, 3, 5))
         np.testing.assert_array_equal(cold, warm)
 
+    @pytest.mark.parametrize("initial_policy, problem", [
+        (np.full(5, 1.7), r"integer actions in \[0, 3\), got float64 values \[1.7\]"),
+        (np.ones(5, dtype=bool), r"got bool values \[ True\]"),
+        (np.full(5, -1, dtype=np.int64), r"got int64 values \[-1\]"),
+        (np.full(5, 3, dtype=np.int64), r"got int64 values \[3\]"),
+        (np.zeros((2, 5), dtype=int), r"broadcast .*\(2, ?5\)"),
+    ])
+    def test_initial_policy_is_checked_not_coerced(self, initial_policy, problem):
+        # once, at entry: 1.7 would truncate to action 1 and -1 wrap to action 2
+        mdp = random_mdp(np.random.default_rng(8), 5, 3)
+        with pytest.raises(ValueError, match=problem):
+            policy_iteration(PlanningProblem.from_mdp(mdp), initial_policy=initial_policy)
+
 
 class TestBatchedEvaluation:
     def test_one_problem_under_many_policies(self):
@@ -122,14 +135,16 @@ class TestBatchedEvaluation:
             np.testing.assert_array_equal(values[i, j], policy_evaluation(problem, policies[i, j]))
 
     def test_stack_under_shared_and_own_policies(self):
+        # each stacked problem has its own rewards, read by its own policy
         rng = np.random.default_rng(12)
         mdps = [random_mdp(rng, 4, 2) for _ in range(3)]
-        stack = PlanningProblem(np.stack([m.transition for m in mdps]), mdps[0].reward_mean, 0.9)
+        stack = PlanningProblem(np.stack([m.transition for m in mdps]),
+                                np.stack([m.reward_mean for m in mdps]), 0.9)
         own = rng.integers(0, 2, (3, 4))
         for policy in (own, own[0]):
             values = policy_evaluation(stack, policy)
             for i, m in enumerate(mdps):
-                single = PlanningProblem(m.transition, mdps[0].reward_mean, 0.9)
+                single = PlanningProblem(m.transition, m.reward_mean, 0.9)
                 np.testing.assert_array_equal(
                     values[i], policy_evaluation(single, np.broadcast_to(policy, (3, 4))[i]))
 
@@ -159,6 +174,15 @@ class TestPlanningProblemValidation:
     def test_rewards_must_be_finite(self):
         with pytest.raises(ValueError, match="rewards must be finite"):
             PlanningProblem(np.ones((1, 1, 1)), np.array([[np.nan]]), 0.9)
+
+    def test_rewards_broadcast_to_one_table_per_problem(self):
+        t = np.full((3, 1, 2, 2), 0.5)
+        shared = np.array([[1.0], [2.0]])
+        problem = PlanningProblem(t, shared, 0.9)
+        assert problem.r.shape == (3, 2, 1) and np.shares_memory(problem.r, shared)
+        with pytest.raises(ValueError, match=r"rewards of shape \(2, 2, 1\) do not broadcast"
+                                             r" to \(3, 2, 1\)"):
+            PlanningProblem(t, np.zeros((2, 2, 1)), 0.9)
 
 
 def lowered_and_blended(mdp, eps):
@@ -192,6 +216,12 @@ class TestUniformBlendEquivalence:
         q = np.array([[1.0, 3.0, 2.5], [0.0, 0.0, -1.0]])
         np.testing.assert_allclose(q_gaps(q), [0.5, 0.0])
         assert q_gaps(np.array([[1.0]]))[0] == np.inf
+        # a stack's gaps are each problem's gaps, per state, not across states
+        stack = np.random.default_rng(4).normal(size=(2, 5, 3))
+        assert q_gaps(stack).shape == (2, 5)
+        for i in range(2):
+            np.testing.assert_array_equal(q_gaps(stack)[i], q_gaps(stack[i]))
+        assert q_gaps(stack[..., :1]).shape == (2, 5)
 
 
 class TestEpsGreedyPlanning:

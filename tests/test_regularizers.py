@@ -239,6 +239,13 @@ class TestBlendProperties:
         model = mle_model(counts)
         reg = regularize(model, counts, "dirichlet", 10.0, GAMMA)
         assert reg.method == "dirichlet"
+        # the methods' shape is the batch shape of the blended matrices
+        methods = [["dirichlet", "discount"], ["eps_greedy", "none"]]
+        cells = regularize(model, counts, methods, [[10.0, 0.4], [0.4, 0.0]], GAMMA)
+        assert cells.method.tolist() == methods
+        assert cells.t_reg.shape == (2, 2) + model.t_hat.shape
+        np.testing.assert_array_equal(cells.t_reg[1, 0],
+                                      regularize(model, counts, "eps_greedy", 0.4, GAMMA).t_reg)
 
     def test_dispatcher_rejects_bad_input(self):
         rng = np.random.default_rng(1)
@@ -248,3 +255,5 @@ class TestBlendProperties:
             regularize(model, counts, "ridge", 0.5, GAMMA)
         with pytest.raises(ValueError, match="strength 0"):
             regularize(model, counts, "none", 0.5, GAMMA)
+        with pytest.raises(ValueError, match=r"\(2,\) methods but \(1,\) strengths"):
+            regularize(model, counts, ("dirichlet", "discount"), (1.0,), GAMMA)
