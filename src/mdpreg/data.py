@@ -12,20 +12,12 @@ time.
 
 from __future__ import annotations
 
-import numbers
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .mdp import TabularMdp, is_integer
-
-
-def is_real(value) -> bool:
-    """A real number a float can hold, NaN and infinities included; no bool."""
-    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
+from .mdp import TabularMdp, is_integer, is_real
 
 
 # (check, expected type) of an integer config field

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import is_real
-from .mdp import DEFAULT_GAMMA, MdpSpecError, TabularMdp, is_integer
+from .mdp import DEFAULT_GAMMA, MdpSpecError, TabularMdp, is_integer, is_real
 
 CLIFF_WIDTH = 12
 CLIFF_HEIGHT = 4

@@ -28,6 +28,10 @@ class CountsTensor:
     def n_states(self) -> int:
         return self.c.shape[0]
 
+    @property
+    def n_actions(self) -> int:
+        return self.c.shape[1]
+
 
 @dataclass(frozen=True)
 class EstimatedModel:

@@ -11,7 +11,7 @@ from .regularizers import RegularizedModel
 
 @dataclass(frozen=True)
 class MseResult:
-    mse_plain: np.ndarray      # shaped like the batch of cells; a scalar for one cell
+    mse_plain: np.ndarray      # shaped like the batch of cells; a numpy scalar for one cell
     mse_absorbing: np.ndarray  # likewise
 
 
@@ -35,6 +35,6 @@ def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
     total = sq.sum(axis=(-3, -2, -1))
     exit_sq = ((1.0 - t_reg @ np.ones(n)) ** 2).sum(axis=(-2, -1))
     mse_plain = total / t_true.size
-    mse_absorbing = np.where(np.asarray(reg.method) == "discount",
+    mse_absorbing = np.where(reg.method == "discount",
                              (total + exit_sq) / (n_actions * (n + 1) ** 2), mse_plain)
     return MseResult(mse_plain, mse_absorbing[()])  # [()]: a scalar for one cell

@@ -25,13 +25,13 @@ from functools import partial
 import numpy as np
 
 from .data import (INTEGER, CollectionConfig, ConfigError, StartMode, check, check_types,
-                   generate_dataset, is_real)
+                   generate_dataset)
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
                            build_two_goals, cliff_near_goal_states, load_mdp_spec,
                            read_json_object)
 from .estimation import count, mle_model
 from .evaluation import transition_mse
-from .mdp import TabularMdp
+from .mdp import TabularMdp, is_real
 from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
                        policy_iteration)
 from .regularizers import METHODS, regularize

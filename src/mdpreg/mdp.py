@@ -18,6 +18,7 @@ so models can be shared freely across worker processes.
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -36,6 +37,12 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def is_integer(value) -> bool:
     """An integer, such as a state index: numpy integers pass, bool does not."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number a float can hold, NaN and infinities included; no bool."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and not (isinstance(value, numbers.Integral) and abs(value) > sys.float_info.max))
 
 
 class MdpSpecError(ValueError):

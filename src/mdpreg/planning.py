@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -36,10 +37,10 @@ class PolicyIterationError(RuntimeError):
 @dataclass(frozen=True)
 class PlanningProblem:
     """A stack of problems with leading batch axes ``...``, one problem for the
-    empty batch shape; a reward table they share is a view, not a copy."""
+    empty batch shape, each with its own reward table."""
 
     t: np.ndarray      # (..., n_actions, n_states, n_states), rows sum to <= 1
-    r: np.ndarray      # (..., n_states, n_actions), broadcast to t's batch shape
+    r: np.ndarray      # (..., n_states, n_actions), given in any shape that broadcasts
     gamma: float
 
     def __post_init__(self):
@@ -47,18 +48,17 @@ class PlanningProblem:
         object.__setattr__(self, "t", t)
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        # "not all ok" rather than "any bad": NaN fails every comparison
-        if not (t >= -1e-12).all():
+        # "not min ok" rather than "min bad": a NaN makes min NaN, failing every comparison
+        if not t.min(initial=0.0) >= -1e-12:
             raise ValueError("transition matrices must be finite and nonnegative")
-        if not (t @ np.ones(self.n_states) <= 1.0 + 1e-9).all():  # row sums
+        if not (t @ np.ones(self.n_states)).max(initial=0.0) <= 1.0 + 1e-9:  # row sums
             raise ValueError("transition rows must sum to at most 1")
         if not np.isfinite(r).all():
             raise ValueError("rewards must be finite")
-        shape = t.shape[:-3] + (self.n_states, self.n_actions)
-        try:
-            object.__setattr__(self, "r", np.broadcast_to(r, shape))
-        except ValueError:
-            raise ValueError(f"rewards of shape {r.shape} do not broadcast to {shape}") from None
+        # one table per problem, a ValueError unless r broadcasts; a copy, as
+        # np.broadcast_to's view costs more to make than N * A floats to copy
+        object.__setattr__(self, "r", np.empty(t.shape[:-3] + (self.n_states, self.n_actions)))
+        self.r[...] = r
 
     @property
     def n_states(self) -> int:
@@ -77,17 +77,24 @@ class PlanningProblem:
         return cls(reg.t_reg, reg.r_hat, reg.gamma)
 
 
+@cache
+def _cells(batch: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Index arrays, made once per batch shape, that pick each problem of a stack."""
+    return tuple(i[..., None] for i in np.indices(batch, sparse=True))
+
+
 def policy_evaluation(problem: PlanningProblem, policy: np.ndarray) -> np.ndarray:
     """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
     (..., n_states) broadcast against the problem's batch axes: one problem
     under many policies, or one per stacked problem."""
     n = problem.n_states
     idx = np.arange(n)
-    cells = tuple(i[..., None] for i in np.indices(problem.t.shape[:-3], sparse=True))
+    cells = _cells(problem.t.shape[:-3])
     t_pi = problem.t[cells + (policy, idx)]
     r_pi = problem.r[cells + (idx, policy)]
-    # I - gamma * T_pi, built in the gathered copy: no second stack-sized array
-    system = np.subtract(np.eye(n), np.multiply(problem.gamma, t_pi, out=t_pi), out=t_pi)
+    # I - gamma * T_pi in the gathered copy; 1 + (-x) on the diagonal has 1 - x's bits
+    system = np.multiply(-problem.gamma, t_pi, out=t_pi)
+    system.reshape(system.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
     return np.linalg.solve(system, r_pi[..., None])[..., 0]
 
 
@@ -95,7 +102,9 @@ def q_from_values(problem: PlanningProblem, v: np.ndarray) -> np.ndarray:
     """One-step lookahead: Q[..., s, a] = r[..., s, a] + gamma * t[..., a, s, :] @ v,
     a view of memory laid out (..., a, s)."""
     tv = (problem.t @ v[..., None, :, None])[..., 0]
-    return (problem.r.swapaxes(-1, -2) + problem.gamma * tv).swapaxes(-1, -2)
+    tv *= problem.gamma  # in place: gamma * tv + r has the bits of r + gamma * tv
+    tv += problem.r.swapaxes(-1, -2)
+    return tv.swapaxes(-1, -2)
 
 
 def greedy_from_q(q: np.ndarray) -> np.ndarray:
@@ -131,24 +140,26 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
     """
     batch, (n_actions, n) = problem.t.shape[:-3], problem.t.shape[-3:-1]
     init = np.asarray(0 if initial_policy is None else initial_policy)
-    # checked once, here: 1.7 would truncate to action 1 and -1 wrap to the last
-    if init.dtype.kind not in "iu" or not ((init >= 0) & (init < n_actions)).all():
+    policy = np.empty(batch + (n,), dtype=np.int64)
+    if init.dtype.kind in "iu":
+        policy[...] = init  # a ValueError unless init broadcasts
+    # checked once, here: 1.7 would truncate to action 1 and -1 wrap to the last;
+    # read as unsigned, a negative action is above every valid one
+    if init.dtype.kind not in "iu" or policy.view(np.uint64).max() >= n_actions:
         raise ValueError(f"initial_policy must hold integer actions in [0, {n_actions}),"
                          f" got {init.dtype} values {np.unique(init)}")
-    # the stack flattened to (k,) problems; sub holds those still active
-    t = problem.t.reshape((-1,) + problem.t.shape[-3:])
-    r = problem.r.reshape((-1,) + problem.r.shape[-2:])
-    policy = np.empty((len(t), n), dtype=np.int64)
-    policy.reshape(batch + (n,))[...] = init  # a ValueError unless init broadcasts
-    sub = copy(problem)  # a view of the checked stack: copy() skips __post_init__'s checks
-    vars(sub).update(t=t, r=r)
-    q_final, active, states = np.empty((len(t), n_actions, n)), np.arange(len(t)), np.arange(n)
+    # the stack flattened to (k,) problems; sub holds those still active: the
+    # stack as given until the first problem converges, then a flat slice of it
+    policy, sub = policy.reshape(-1, n), problem
+    active, states = np.arange(len(policy)), np.arange(n)
+    q_final = np.empty((len(active), n_actions, n))
     for _ in range(_MAX_SWEEPS):
         current = policy[active]
+        v = policy_evaluation(sub, current.reshape(sub.t.shape[:-3] + (n,)))
         # (k, a, s): reductions over actions run along contiguous states
-        q = q_from_values(sub, policy_evaluation(sub, current)).swapaxes(1, 2)
+        q = q_from_values(sub, v).reshape(-1, n, n_actions).swapaxes(1, 2)
         slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
-        kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1) - slack
+        kept = q[_cells(active.shape) + (current, states)] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))
         stable = kept.all(axis=1)  # a state not kept moves to a better action
         if stable.any():
@@ -157,6 +168,8 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
             if active.size == 0:
                 q = q_final.swapaxes(1, 2).reshape(batch + (n, n_actions))
                 return greedy_from_q(q), q
-            vars(sub).update(t=t[active], r=r[active])
+            sub = copy(problem)  # a slice of the checked stack: copy() skips the checks
+            vars(sub).update(t=problem.t.reshape(-1, n_actions, n, n)[active],
+                             r=problem.r.reshape(-1, n, n_actions)[active])
     raise PolicyIterationError(active.tolist())
 

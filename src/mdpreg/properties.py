@@ -60,6 +60,10 @@ def random_uniform_visit_counts(rng: np.random.Generator, n_states: int,
     return CountsTensor(c, reward_sum, c.sum(axis=2))
 
 
+def _estimated_from_mdp(mdp: TabularMdp) -> EstimatedModel:
+    return EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy())
+
+
 def _policies_agree_tie_free(pi_a, q_a, pi_b, q_b) -> bool:
     compared = (q_gaps(q_a) > TIE_TOL) & (q_gaps(q_b) > TIE_TOL)
     return bool(np.all(pi_a[compared] == pi_b[compared]))
@@ -68,13 +72,12 @@ def _policies_agree_tie_free(pi_a, q_a, pi_b, q_b) -> bool:
 def eps_greedy_evaluation(t: np.ndarray, r: np.ndarray, gamma: float,
                           policy: np.ndarray, eps: float) -> np.ndarray:
     """Value of executing ``policy`` eps-greedily: pick policy[s] w.p. 1 - eps,
-    a uniform action otherwise; policies may stack, (..., n_states).
-    Independent of the blended-matrix route."""
+    a uniform action otherwise. Independent of the blended-matrix route."""
     n = t.shape[1]
     idx = np.arange(n)
     t_exec = (1.0 - eps) * t[policy, idx, :] + eps * t.mean(axis=0)
     r_exec = (1.0 - eps) * r[idx, policy] + eps * r.mean(axis=1)
-    return np.linalg.solve(np.eye(n) - gamma * t_exec, r_exec[..., None])[..., 0]
+    return np.linalg.solve(np.eye(n) - gamma * t_exec, r_exec)
 
 
 def _check(name: str, limit_s: float = math.inf):
@@ -98,15 +101,17 @@ def check_uniform_blend(n_mdps: int = 200, seed: int = 20_001):
     common optimal policy, not a common tie-break)."""
     rng = np.random.default_rng(seed)
     eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
-    eps = np.array(eps_values)[:, None, None, None]  # one blended problem per value
-    failures, total = 0, n_mdps * len(eps_values)
+    failures = 0
+    total = 0
     for _ in range(n_mdps):
         mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-        blended = PlanningProblem((1.0 - eps) * mdp.transition + eps / mdp.n_states,
-                                  mdp.reward_mean, mdp.gamma)
-        for e, pi_b, q_b in zip(eps_values, *policy_iteration(blended)):
-            lowered = PlanningProblem(mdp.transition, mdp.reward_mean, (1.0 - e) * mdp.gamma)
-            if not _policies_agree_tie_free(*policy_iteration(lowered), pi_b, q_b):
+        for eps in eps_values:
+            total += 1
+            lowered = PlanningProblem(mdp.transition, mdp.reward_mean, (1.0 - eps) * mdp.gamma)
+            blended = PlanningProblem((1.0 - eps) * mdp.transition + eps / mdp.n_states,
+                                      mdp.reward_mean, mdp.gamma)
+            if not _policies_agree_tie_free(*policy_iteration(lowered),
+                                            *policy_iteration(blended)):
                 failures += 1
     return failures == 0, f"{total - failures}/{total} agreements"
 
@@ -116,15 +121,17 @@ def check_discount_equiv(n_mdps: int = 200, seed: int = 20_002):
     """Discount blend at gamma plans identically to the MLE at lowered gamma."""
     rng = np.random.default_rng(seed)
     eps_values = (0.1, 0.3, 0.5, 0.7, 0.9)
-    failures, total = 0, n_mdps * len(eps_values)
+    failures, total = 0, 0
     for _ in range(n_mdps):
         mdp = random_mdp(rng, int(rng.integers(2, 7)), int(rng.integers(2, 4)))
-        est = EstimatedModel(mdp.transition, mdp.reward_mean)
-        reg = regularize(est, None, ["discount"] * len(eps_values), eps_values, mdp.gamma)
-        planned = policy_iteration(PlanningProblem.from_regularized(reg))  # a stack per eps
-        for eps, pi_a, q_a in zip(eps_values, *planned):
+        est = _estimated_from_mdp(mdp)
+        for eps in eps_values:
+            total += 1
+            reg = regularize(est, None, "discount", eps, mdp.gamma)
+            pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg))
             lowered = PlanningProblem(est.t_hat, est.r_hat, (1.0 - eps) * mdp.gamma)
-            if not _policies_agree_tie_free(pi_a, q_a, *policy_iteration(lowered)):
+            pi_b, q_b = policy_iteration(lowered)
+            if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
                 failures += 1
     return failures == 0, f"{total - failures}/{total} policy matches"
 
@@ -166,8 +173,10 @@ def check_implied_prior_equiv(n_instances: int = 100, seed: int = 20_004):
         eps = float(rng.choice([0.1, 0.3, 0.5, 0.7, 0.9]))
         gamma_l = (1.0 - eps) * gamma
         alpha_i = implied_prior_magnitude(gamma, gamma_l, total, n)
-        reg = regularize(est, counts, ["discount", "dirichlet"], [eps, n * alpha_i], gamma)
-        (pi_a, pi_b), (q_a, q_b) = policy_iteration(PlanningProblem.from_regularized(reg))
+        reg_disc = regularize(est, None, "discount", eps, gamma)
+        reg_dir = regularize(est, counts, "dirichlet", n * alpha_i, gamma)
+        pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg_disc))
+        pi_b, q_b = policy_iteration(PlanningProblem.from_regularized(reg_dir))
         if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
             failures += 1
     return failures == 0, f"{n_instances - failures}/{n_instances} policy matches"
@@ -181,15 +190,18 @@ def check_eps_greedy_equiv(n_mdps: int = 100, seed: int = 20_005):
     for _ in range(n_mdps):
         n = int(rng.integers(2, 5))
         mdp = random_mdp(rng, n, 2, state_rewards=True)
-        est = EstimatedModel(mdp.transition, mdp.reward_mean)
+        est = _estimated_from_mdp(mdp)
         for eps in (0.25, 0.5):
             reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
             pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
             v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
                                           mdp.gamma, pi_hat, eps)
-            every = np.array(list(itertools.product(range(2), repeat=n)))  # every policy
-            v_best = eps_greedy_evaluation(mdp.transition, mdp.reward_mean, mdp.gamma,
-                                           every, eps).max(axis=0)
+            v_best = np.full(n, -np.inf)
+            for assignment in itertools.product(range(2), repeat=n):
+                pi = np.array(assignment)
+                v = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
+                                          mdp.gamma, pi, eps)
+                v_best = np.maximum(v_best, v)
             worst = max(worst, float(np.abs(v_hat - v_best).max()))
     return worst <= 1e-9, f"max value gap to brute force {worst:.2e}"
 
@@ -224,8 +236,10 @@ def check_pi_oracle(n_problems: int = 500, seed: int = 20_007):
         problem = PlanningProblem.from_mdp(mdp)
         pi, _ = policy_iteration(problem)
         v_pi = policy_evaluation(problem, pi)
-        every = np.array(list(itertools.product(range(2), repeat=n)))  # every policy
-        v_best = policy_evaluation(problem, every).max(axis=0)
+        v_best = np.full(n, -np.inf)
+        for assignment in itertools.product(range(2), repeat=n):
+            v = policy_evaluation(problem, np.array(assignment))
+            v_best = np.maximum(v_best, v)
         worst = max(worst, float(np.abs(v_pi - v_best).max()))
     return worst <= 1e-9, f"max value gap to enumeration {worst:.2e}"
 
