@@ -18,27 +18,30 @@ UNVISITED_REWARD = 0.50
 
 @dataclass(frozen=True)
 class CountsTensor:
-    """Transition counts and reward sums: the sufficient statistics."""
+    """Transition counts and reward sums, the sufficient statistics, with
+    leading batch axes ``...``: one dataset's for the empty batch shape, or a
+    stack of datasets' (a harness block holds one per replication)."""
 
-    c: np.ndarray            # (n_states, n_actions, n_states) int64
-    reward_sum: np.ndarray   # (n_states, n_actions)
-    visit_count: np.ndarray  # (n_states, n_actions) int64
+    c: np.ndarray            # (..., n_states, n_actions, n_states) int64
+    reward_sum: np.ndarray   # (..., n_states, n_actions)
+    visit_count: np.ndarray  # (..., n_states, n_actions) int64
 
     @property
     def n_states(self) -> int:
-        return self.c.shape[0]
+        return self.c.shape[-1]
 
     @property
     def n_actions(self) -> int:
-        return self.c.shape[1]
+        return self.c.shape[-2]
 
 
 @dataclass(frozen=True)
 class EstimatedModel:
-    """MLE transition matrices and mean rewards."""
+    """MLE transition matrices and mean rewards with the leading batch axes
+    ``...`` of the counts they were fitted from."""
 
-    t_hat: np.ndarray  # (n_actions, n_states, n_states)
-    r_hat: np.ndarray  # (n_states, n_actions)
+    t_hat: np.ndarray  # (..., n_actions, n_states, n_states)
+    r_hat: np.ndarray  # (..., n_states, n_actions)
 
 
 def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:
@@ -59,12 +62,13 @@ def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:
 
 
 def mle_model(counts: CountsTensor) -> EstimatedModel:
-    """Empirical frequencies per visited pair; uniform rows and reward 0.50 elsewhere."""
+    """Empirical frequencies per visited pair; uniform rows and reward 0.50
+    elsewhere; one model per dataset of the counts' batch."""
     n = counts.n_states
     visits = counts.visit_count
     visited = visits > 0
-    denom = np.maximum(visits, 1)[:, :, None]
-    rows = np.where(visited[:, :, None], counts.c / denom, 1.0 / n)
+    denom = np.maximum(visits, 1)[..., None]
+    rows = np.where(visited[..., None], counts.c / denom, 1.0 / n)
     r_hat = np.where(visited, counts.reward_sum / np.maximum(visits, 1), UNVISITED_REWARD)
-    t_hat = np.ascontiguousarray(np.moveaxis(rows, 1, 0))
+    t_hat = np.ascontiguousarray(np.moveaxis(rows, -2, -3))
     return EstimatedModel(t_hat, r_hat)

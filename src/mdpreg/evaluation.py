@@ -8,6 +8,11 @@ import numpy as np
 
 from .regularizers import RegularizedModel
 
+# bytes of squared differences made at once: a stack of many cells (a harness
+# block's wave) is taken in slices of whole cells, so that no temporary is as
+# large as the stack; each cell's sum is the same for any slice
+_SLICE_BYTES = 1 << 18
+
 
 @dataclass(frozen=True)
 class MseResult:
@@ -30,9 +35,14 @@ def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
     if t_true.shape != t_reg.shape[-3:]:
         raise ValueError(f"shape mismatch: true {t_true.shape} vs regularized {t_reg.shape}")
     n_actions, n, _ = t_true.shape
-    sq = t_true - t_reg
-    sq *= sq
-    total = sq.sum(axis=(-3, -2, -1))
+    cells = t_reg.reshape((-1,) + t_true.shape)
+    total = np.empty(len(cells))
+    per = max(1, _SLICE_BYTES // t_true.nbytes)
+    for start in range(0, len(cells), per):
+        sq = t_true - cells[start:start + per]
+        sq *= sq
+        total[start:start + per] = sq.sum(axis=(-3, -2, -1))
+    total = total.reshape(t_reg.shape[:-3])
     exit_sq = ((1.0 - t_reg @ np.ones(n)) ** 2).sum(axis=(-2, -1))
     mse_plain = total / t_true.size
     mse_absorbing = np.where(reg.method == "discount",

@@ -1,15 +1,22 @@
 """Monte-Carlo experiment engine: sweeps across methods, strengths, and seeds.
 
-One replication draws a dataset, estimates the model, and plans its
-(method, strength) cells in waves: contiguous slices of the cells in output
-order, as many per wave as keep its stack of blended matrices within
+Replications run in blocks of consecutive indices. Each replication of a block
+draws a dataset and counts it into a stacked (R, ...) array, and one
+``mle_model`` call fits the R models. The block then plans its (method,
+strength) cells in waves: contiguous slices of the cells in output order, as
+many per wave as keep one replication's stack of blended matrices within
 _WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
-goals all 53 cells in one wave. Rows aggregate mean and standard error across
-replications.
-Replication r always uses child_seed(master_seed, r) and aggregation always
-sums in replication order, so results are bit-identical for any worker count.
-Pooled runs in one process share one process pool, started by the first of
-them and kept while later runs ask for the same number of workers.
+goals all 53 cells in one wave. Wave j of every replication of the block is
+one ``regularize``, one ``policy_iteration`` over the R * w problems and one
+``transition_mse``; each replication is then scored in the true MDP. A block
+holds as many replications as keep a wave's stack within _BLOCK_BYTES (cliff
+4, two goals 5, grid 8), and a pool task holds whole blocks. Rows aggregate
+mean and standard error across replications.
+Replication r always uses child_seed(master_seed, r), each planning problem
+takes the sweeps it would take alone, and aggregation always sums in
+replication order, so results are bit-identical for any worker count and
+block size. Pooled runs in one process share one process pool, started by the
+first of them and kept while later runs ask for the same number of workers.
 """
 
 from __future__ import annotations
@@ -29,7 +36,7 @@ from .data import (INTEGER, CollectionConfig, ConfigError, StartMode, check, che
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
                            build_two_goals, cliff_near_goal_states, load_mdp_spec,
                            read_json_object)
-from .estimation import count, mle_model
+from .estimation import CountsTensor, count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp, is_real
 from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
@@ -45,6 +52,10 @@ DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 50
 # bytes of blended matrices one wave may stack: three cliff cells (74 KB each),
 # or a whole grid or two-goals sweep (53 x 2.4-3.5 KB)
 _WAVE_BYTES = 1 << 18
+# bytes of blended matrices a block's wave may stack: four cliff replications,
+# five of two goals, eight of grid. Outputs do not depend on it, so it is
+# neither a config field nor hashed; it bounds the block's memory
+_BLOCK_BYTES = 1 << 20
 
 # the dense example limited-start variant needs an explicit list of 5 states
 GRID_LIMITED_STARTS = (0, 2, 4, 6, 8)
@@ -186,6 +197,7 @@ class _ReplicationContext:
     v_opt: np.ndarray
     start_dist: np.ndarray
     cells: tuple[tuple[str, float], ...]
+    width: int  # cells per wave
     collection: CollectionConfig
     master_seed: int
 
@@ -194,61 +206,102 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
     """What every replication of ``cfg`` on ``mdp`` shares, the true optimum included."""
     true_problem = PlanningProblem.from_mdp(mdp)
     pi_opt, _ = policy_iteration(true_problem)
+    cells = tuple(sweep_cells(cfg))
     return _ReplicationContext(
         mdp=mdp,
         true_problem=true_problem,
         pi_opt=pi_opt,
         v_opt=policy_evaluation(true_problem, pi_opt),
         start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
-        cells=tuple(sweep_cells(cfg)),
+        cells=cells,
+        width=min(len(cells), max(1, _WAVE_BYTES // mdp.transition.nbytes)),
         collection=cfg.collection,
         master_seed=cfg.master_seed,
     )
 
 
-def _replication_task(ctx: _ReplicationContext, rep: int
-                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full replication: dataset -> estimate -> per-cell plan and metrics."""
-    try:
-        return _replication_metrics(ctx, rep)
-    except Exception as exc:
-        raise ReplicationError(f"replication {rep} (child seed"
-                               f" {child_seed(ctx.master_seed, rep)}) failed: {exc}") from exc
+def _block_size(ctx: _ReplicationContext) -> int:
+    """Replications per block: as many as keep a wave's stack within _BLOCK_BYTES."""
+    return max(1, _BLOCK_BYTES // (ctx.width * ctx.mdp.transition.nbytes))
 
 
-def _replication_metrics(ctx: _ReplicationContext, rep: int
+def _block_task(ctx: _ReplicationContext, reps: range
+                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The (losses, plain MSE, absorbing MSE) rows of replications ``reps``,
+    planned as one block."""
+    rows = []  # filled by the block's first replication
+    return [_replication_metrics(ctx, rep, block=(reps, rows)) for rep in reps]
+
+
+def _replication_metrics(ctx: _ReplicationContext, rep: int, *, block: tuple[range, list]
                          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    mdp = ctx.mdp
-    dataset = generate_dataset(mdp, ctx.pi_opt, ctx.collection,
-                               child_seed(ctx.master_seed, rep))
-    counts = count(dataset, mdp.n_states, mdp.n_actions)
-    est = mle_model(counts)
+    """Replication ``rep``'s rows; the block's first replication plans the block.
+    A shim for perfbench's tracer, which times one call of this per replication:
+    fold it into _block_task when the benchmark reads the run's own numbers."""
+    reps, rows = block
+    if rep == reps.start:
+        rows += _block_metrics(ctx, reps)
+    return rows[rep - reps.start]
 
-    width = max(1, _WAVE_BYTES // est.t_hat.nbytes)
-    policies = np.empty((len(ctx.cells), mdp.n_states), dtype=np.int64)
-    mse_plain, mse_abs = np.empty((2, len(ctx.cells)))
-    warm = None  # the previous wave's last policy starts every cell of a wave
-    for start in range(0, len(ctx.cells), width):
-        wave = slice(start, start + width)
-        methods, strengths = zip(*ctx.cells[wave])
-        reg = regularize(est, counts, methods, strengths, mdp.gamma)
-        try:
-            policy = policy_iteration(PlanningProblem.from_regularized(reg), initial_policy=warm)[0]
-        except PolicyIterationError as exc:
-            names = ", ".join(f"({methods[i]}, {strengths[i]:g})" for i in exc.problems)
-            raise RuntimeError(f"{exc} at cell(s) {names}") from exc
-        policies[wave], warm = policy, policy[-1]
-        mse = transition_mse(mdp.transition, reg)
-        mse_plain[wave] = mse.mse_plain
-        mse_abs[wave] = mse.mse_absorbing
 
-    # evaluate each distinct policy once in the true MDP; keying rows by their
-    # bytes is several times faster than np.unique(axis=0) on 53 short rows
-    first = {}  # a policy's bytes -> the first cell that chose it
-    owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(policies)]
-    v_reg = policy_evaluation(ctx.true_problem, policies[list(first.values())])
-    loss = {i: np.dot(ctx.start_dist, ctx.v_opt - v) for i, v in zip(first.values(), v_reg)}
-    return np.array([loss[i] for i in owner]), mse_plain, mse_abs
+def _block_metrics(ctx: _ReplicationContext, reps: range
+                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Replications ``reps``: data -> stacked estimate -> waves of the block's
+    cells -> per-replication scores. A failure raises a ReplicationError naming
+    the replication it belongs to, or the block's first for a whole-block step."""
+    mdp, cells = ctx.mdp, ctx.cells
+    n, n_actions = mdp.n_states, mdp.n_actions
+    c = np.empty((len(reps), n, n_actions, n), dtype=np.int64)
+    reward_sum = np.empty((len(reps), n, n_actions))
+    culprit = reps.start  # the replication a failure names
+    try:
+        for i, culprit in enumerate(reps):
+            one = count(generate_dataset(mdp, ctx.pi_opt, ctx.collection,
+                                         child_seed(ctx.master_seed, culprit)), n, n_actions)
+            c[i], reward_sum[i] = one.c, one.reward_sum
+        del one  # the stack holds its counts: keep no replication's data beside it
+        culprit = reps.start
+        counts = CountsTensor(c, reward_sum, c.sum(axis=-1))
+        est = mle_model(counts)
+
+        policies = np.empty((len(reps), len(cells), n), dtype=np.int64)
+        mse_plain, mse_abs = np.empty((2, len(reps), len(cells)))
+        warm = None  # a replication's previous wave's last policy starts its wave
+        for start in range(0, len(cells), ctx.width):
+            wave = slice(start, start + ctx.width)
+            methods, strengths = zip(*cells[wave])
+            reg = regularize(est, counts, methods, strengths, mdp.gamma)
+            try:
+                policy = policy_iteration(PlanningProblem.from_regularized(reg),
+                                          initial_policy=warm)[0]
+            except PolicyIterationError as exc:
+                # flat problem i is replication i // w, cell i % w of the wave
+                stuck = [divmod(i, len(methods)) for i in exc.problems]
+                culprit = reps[stuck[0][0]]
+                names = ", ".join(f"({methods[j]}, {strengths[j]:g})"
+                                  for r, j in stuck if r == stuck[0][0])
+                raise RuntimeError(f"{exc} at cell(s) {names}") from exc
+            policies[:, wave], warm = policy, policy[:, -1:]
+            mse = transition_mse(mdp.transition, reg)
+            mse_plain[:, wave] = mse.mse_plain
+            mse_abs[:, wave] = mse.mse_absorbing
+            del reg  # before the next wave's stack is made: two would double the peak
+
+        rows = []
+        for culprit, chosen, plain, absorbing in zip(reps, policies, mse_plain, mse_abs):
+            # evaluate each distinct policy once in the true MDP; keying rows by
+            # their bytes is several times faster than np.unique(axis=0) on 53 rows
+            first = {}  # a policy's bytes -> the first cell that chose it
+            owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(chosen)]
+            v_reg = policy_evaluation(ctx.true_problem, chosen[list(first.values())])
+            loss = {i: np.dot(ctx.start_dist, ctx.v_opt - v)
+                    for i, v in zip(first.values(), v_reg)}
+            rows.append((np.array([loss[i] for i in owner]), plain, absorbing))
+        return rows
+    except Exception as exc:
+        raise ReplicationError(f"replication {culprit} (child seed"
+                               f" {child_seed(ctx.master_seed, culprit)}) failed: {exc}"
+                               ) from exc
 
 
 # the process pool pooled run_experiment calls share: (executor, size, pid of
@@ -282,20 +335,24 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
            f"start state {s} out of range [0, {mdp.n_states}) of MDP {cfg.mdp!r}")
           for s in cfg.collection.start_mode.states)
     ctx = _replication_context(cfg, mdp)
-    task = partial(_replication_task, ctx)
-    reps = range(cfg.replications)
+    n = cfg.replications
     # the pool forks all its processes at once: never more than can run or have work
-    workers = min(cfg.workers, cfg.replications, os.cpu_count() or 1)
+    workers = min(cfg.workers, n, os.cpu_count() or 1)
+    chunk = n if workers <= 1 else max(1, n // (workers * 8))  # replications per task
+    size = min(_block_size(ctx), chunk)
+    blocks = [range(b, min(b + size, n)) for b in range(0, n, size)]
+    task = partial(_block_task, ctx)
+    results = []
     if workers <= 1:
-        results = [task(r) for r in reps]
+        for block in blocks:
+            results += task(block)
     else:
-        chunk = max(1, cfg.replications // (workers * 8))
-        results = []
+        per_task = max(1, chunk // size)  # whole blocks per pool task
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:
-                for result in _shared_pool(workers).map(task, reps, chunksize=chunk):
-                    results.append(result)
+                for rows in _shared_pool(workers).map(task, blocks, chunksize=per_task):
+                    results += rows
                 break
             except BrokenProcessPool as exc:
                 _drop_pool(cancel=True)
@@ -307,8 +364,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     continue
                 # map yields in replication order: the first result missing is len(results)
                 rep = len(results)
-                first = rep - rep % chunk
-                last = min(first + chunk, cfg.replications) - 1
+                first = rep - rep % (per_task * size)
+                last = min(first + per_task * size, n) - 1
                 raise ReplicationError(
                     f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
                     f" chunk of replications {first}-{last}) was not received:"
@@ -319,7 +376,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
 
     # stack in replication order; np reductions then sum in a fixed order
     losses, mse_plain, mse_abs = map(np.stack, zip(*results))
-    n = cfg.replications
     stderr = (losses.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
               else np.zeros(losses.shape[1]))
     digest = config_hash(cfg)

@@ -8,7 +8,6 @@ equivalence properties can be tested at solver precision.
 
 from __future__ import annotations
 
-from copy import copy
 from dataclasses import dataclass
 from functools import cache
 
@@ -83,13 +82,16 @@ def _cells(batch: tuple[int, ...]) -> tuple[np.ndarray, ...]:
     return tuple(i[..., None] for i in np.indices(batch, sparse=True))
 
 
-def policy_evaluation(problem: PlanningProblem, policy: np.ndarray) -> np.ndarray:
+def policy_evaluation(problem: PlanningProblem, policy: np.ndarray,
+                      problems: np.ndarray | None = None) -> np.ndarray:
     """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
     (..., n_states) broadcast against the problem's batch axes: one problem
-    under many policies, or one per stacked problem."""
+    under many policies, or one per stacked problem. ``problems``, indices into
+    a (k,) stack, solves only those, one policy (k', n_states) each, and gathers
+    no row of the others."""
     n = problem.n_states
     idx = np.arange(n)
-    cells = _cells(problem.t.shape[:-3])
+    cells = _cells(problem.t.shape[:-3]) if problems is None else (problems[:, None],)
     t_pi = problem.t[cells + (policy, idx)]
     r_pi = problem.r[cells + (idx, policy)]
     # I - gamma * T_pi in the gathered copy; 1 + (-x) on the diagonal has 1 - x's bits
@@ -145,19 +147,22 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
         policy[...] = init  # a ValueError unless init broadcasts
     # checked once, here: 1.7 would truncate to action 1 and -1 wrap to the last;
     # read as unsigned, a negative action is above every valid one
-    if init.dtype.kind not in "iu" or policy.view(np.uint64).max() >= n_actions:
+    if init.dtype.kind not in "iu" or policy.view(np.uint64).max(initial=0) >= n_actions:
         raise ValueError(f"initial_policy must hold integer actions in [0, {n_actions}),"
                          f" got {init.dtype} values {np.unique(init)}")
-    # the stack flattened to (k,) problems; sub holds those still active: the
-    # stack as given until the first problem converges, then a flat slice of it
-    policy, sub = policy.reshape(-1, n), problem
+    # the stack as a view of (k,) problems, left unchecked; a sweep solves the
+    # active ones and takes the lookahead of all, stale values and all, so that
+    # no problem's matrices are copied
+    policy, flat = policy.reshape(-1, n), object.__new__(PlanningProblem)
+    vars(flat).update(t=problem.t.reshape(-1, n_actions, n, n),
+                      r=problem.r.reshape(-1, n, n_actions), gamma=problem.gamma)
     active, states = np.arange(len(policy)), np.arange(n)
-    q_final = np.empty((len(active), n_actions, n))
-    for _ in range(_MAX_SWEEPS):
+    v, q_final = np.empty((len(active), n)), np.empty((len(active), n_actions, n))
+    for _ in range(_MAX_SWEEPS if active.size else 0):  # an empty stack takes no sweep
         current = policy[active]
-        v = policy_evaluation(sub, current.reshape(sub.t.shape[:-3] + (n,)))
+        v[active] = policy_evaluation(flat, current, active)
         # (k, a, s): reductions over actions run along contiguous states
-        q = q_from_values(sub, v).reshape(-1, n, n_actions).swapaxes(1, 2)
+        q = q_from_values(flat, v).swapaxes(1, 2)[active]
         slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
         kept = q[_cells(active.shape) + (current, states)] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))
@@ -166,10 +171,9 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
             q_final[active[stable]] = q[stable]
             active = active[~stable]
             if active.size == 0:
-                q = q_final.swapaxes(1, 2).reshape(batch + (n, n_actions))
-                return greedy_from_q(q), q
-            sub = copy(problem)  # a slice of the checked stack: copy() skips the checks
-            vars(sub).update(t=problem.t.reshape(-1, n_actions, n, n)[active],
-                             r=problem.r.reshape(-1, n, n_actions)[active])
-    raise PolicyIterationError(active.tolist())
+                break
+    if active.size:
+        raise PolicyIterationError(active.tolist())
+    q = q_final.swapaxes(1, 2).reshape(batch + (n, n_actions))
+    return greedy_from_q(q), q
 

@@ -27,38 +27,43 @@ METHODS = ("dirichlet", "discount", "eps_greedy", "none")
 
 @dataclass(frozen=True)
 class RegularizedModel:
-    """Blended per-action matrices with leading batch axes ``...``, one cell per
-    index (see ``regularize``), each cell's method (read by ``transition_mse``),
-    the reward estimate and the true discount every method plans with.
+    """Blended per-action matrices with leading batch axes ``...``: the batch of
+    the model they blend, then the batch of cells (see ``regularize``). Each
+    cell's method (read by ``transition_mse``) is shaped like the cell batch,
+    and the reward estimate like the model's, with a 1 per cell axis, so both
+    broadcast against the whole batch; ``gamma`` is the true discount every
+    method plans with.
     """
 
     t_reg: np.ndarray   # (..., n_actions, n_states, n_states)
-    r_hat: np.ndarray   # (n_states, n_actions)
-    method: np.ndarray  # (...) of str
+    r_hat: np.ndarray   # (model batch, 1 per cell axis, n_states, n_actions)
+    method: np.ndarray  # (cell batch) of str
     gamma: float
 
 
 def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.ndarray:
     """The one kernel of every method, ``(1 - eps) * t_mle + eps * t_other``;
-    ``eps`` is a scalar or one weight per row, ``(n_actions, n_states, 1)``."""
+    ``eps`` is a scalar or one weight per row, ``(..., n_actions, n_states, 1)``."""
     out = np.multiply(1.0 - eps, t_mle, out=out)
     out += eps * t_other
     return out
 
 
-def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
+def _blend_terms(visits: np.ndarray | None, action_mean: np.ndarray | None,
                  method: str, strength: float):
-    """One cell's ``blend`` arguments: T_other, a scalar or (n_states, n_states)
-    shared by every action, and eps, a scalar or one per row (n_actions, n_states, 1).
-    ``action_mean`` is the MLE's mean over actions, eps_greedy's T_other."""
+    """One cell's ``blend`` arguments for every model of a batch: T_other, a
+    scalar or (..., 1, n_states, n_states) shared by every action, and eps, a
+    scalar or one per row (..., n_actions, n_states, 1). ``visits`` is each
+    row's visit count, (..., n_actions, n_states, 1), and ``action_mean`` the
+    MLE's mean over actions, eps_greedy's T_other."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "dirichlet" and 0 <= strength < np.inf:
         # uniform prior of mass m per pair: eps = m / (n_sa + m), and 0 for pairs
         # with neither counts nor mass, which keep the MLE's uniform row
-        totals = counts.visit_count.T[:, :, None] + strength
+        totals = visits + strength
         eps = np.divide(strength, totals, out=np.zeros(totals.shape), where=totals > 0)
-        return 1.0 / counts.n_states, eps
+        return 1.0 / visits.shape[-2], eps
     if method in ("discount", "eps_greedy") and 0.0 <= strength <= 1.0:
         return (0.0 if method == "discount" else action_mean), float(strength)
     if method == "none" and strength == 0.0:
@@ -71,21 +76,27 @@ def _blend_terms(counts: CountsTensor | None, action_mean: np.ndarray | None,
 def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
                strength, gamma: float) -> RegularizedModel:
     """Blend one cell; or, given equal-length sequences of methods and
-    strengths, a batch of cells stacked in order along the leading batch axes
+    strengths, a batch of cells stacked in order along the batch axes
     ``np.shape(method)``. ``strength`` is eps, or the uniform prior magnitude
-    of ``dirichlet``, the one method reading ``counts``.
+    of ``dirichlet``, the one method reading ``counts``. A model and counts
+    with leading batch axes blend every cell for each of their models: the
+    output batch is the model batch followed by the cell batch.
     """
     methods, strengths = np.asarray(method, dtype=str), np.asarray(strength, dtype=float)
     if methods.shape != strengths.shape:
         raise ValueError(f"{methods.shape} methods but {strengths.shape} strengths")
     names = methods.ravel().tolist()
-    action_mean = model.t_hat.mean(axis=0) if "eps_greedy" in names else None
+    t_hat = model.t_hat
+    batch, matrices = t_hat.shape[:-3], t_hat.shape[-3:]
+    visits = counts.visit_count.swapaxes(-1, -2)[..., None] if "dirichlet" in names else None
+    action_mean = t_hat.mean(axis=-3, keepdims=True) if "eps_greedy" in names else None
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
-    t_reg = np.empty(methods.shape + model.t_hat.shape)
-    cells = t_reg.reshape((-1,) + model.t_hat.shape)  # a view of the new stack
-    for out, m, s in zip(cells, names, strengths.ravel().tolist()):
-        blend(model.t_hat, *_blend_terms(counts, action_mean, m, s), out=out)
-    return RegularizedModel(t_reg, model.r_hat, methods, gamma)
+    t_reg = np.empty(batch + methods.shape + matrices)
+    cells = t_reg.reshape(batch + (len(names),) + matrices)  # a view of the new stack
+    for j, (m, s) in enumerate(zip(names, strengths.ravel().tolist())):
+        blend(t_hat, *_blend_terms(visits, action_mean, m, s), out=cells[..., j, :, :, :])
+    r_hat = model.r_hat.reshape(batch + (1,) * methods.ndim + model.r_hat.shape[-2:])
+    return RegularizedModel(t_reg, r_hat, methods, gamma)
 
 
 def implied_prior_magnitude(gamma: float, gamma_l: float, count_sum: float,

@@ -4,6 +4,7 @@ width of a replication; and for the config and spec loaders on arbitrary JSON.""
 
 import json
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -15,8 +16,9 @@ import mdpreg.harness as harness
 import mdpreg.planning as planning
 from mdpreg import (CollectionConfig, ConfigError, CountsTensor, ExperimentConfig,
                     MdpSpecError, PlanningProblem, StartMode, TabularMdp, build_two_goals,
-                    load_experiment_config, load_mdp_spec, mle_model, policy_iteration,
-                    regularize, save_mdp_spec, transition_mse)
+                    emit_csv, load_experiment_config, load_mdp_spec, mle_model,
+                    policy_iteration, regularize, run_experiment, save_mdp_spec,
+                    transition_mse)
 from mdpreg.environments import _SPEC_FIELDS
 from mdpreg.planning import PolicyIterationError
 
@@ -57,12 +59,13 @@ def count_sweeps(problem, **kwargs):
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 7), n_actions=st.integers(1, 4),
-       batch=st.lists(st.integers(1, 4), max_size=2).map(tuple), shared_r=st.booleans(),
+       batch=st.lists(st.integers(0, 4), max_size=2).map(tuple), shared_r=st.booleans(),
        gamma=st.sampled_from([0.0, 0.5, 0.9, 0.99]), warm=st.booleans())
 def test_stacked_policy_iteration_equals_per_problem_calls(seed, n, n_actions, batch, shared_r,
                                                            gamma, warm):
-    # a stack of any batch shape, the empty one included, gives each problem the
-    # bits of a call on that problem alone, whether it shares r or has its own
+    # a stack of any batch shape, the empty shape and empty stacks included, gives
+    # each problem the bits of a call on that problem alone, whether it shares r
+    # or has its own
     rng = np.random.default_rng(seed)
     t = rng.dirichlet(np.ones(n), size=batch + (n_actions, n))
     t *= rng.choice([1.0, 0.7], size=batch + (n_actions, n, 1))  # some substochastic rows
@@ -76,6 +79,16 @@ def test_stacked_policy_iteration_equals_per_problem_calls(seed, n, n_actions, b
         pi_i, q_i = policy_iteration(one, initial_policy=None if init is None else init[i])
         np.testing.assert_array_equal(policy[i], pi_i)
         np.testing.assert_array_equal(q[i], q_i)
+
+
+def test_an_empty_stack_plans_to_empty_arrays():
+    # empty method and strength lists blend no cell: planning and scoring them
+    # returns empty arrays at once, with no sweep
+    counts = random_counts(0, 3, 2, unvisited=0.3)
+    reg = regularize(mle_model(counts), counts, [], [], 0.9)
+    policy, q, sweeps = count_sweeps(PlanningProblem.from_regularized(reg))
+    assert (policy.shape, q.shape, sweeps) == ((0, 3), (0, 3, 2), 0)
+    assert transition_mse(np.full((2, 3, 3), 1 / 3), reg).mse_absorbing.shape == (0,)
 
 
 @SETTINGS
@@ -180,35 +193,61 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     # width 1 warm-starts each cell from the previous cell; width 2 warm-starts
     # both cells of a wave from the previous wave's last policy, so waves cross
     # method boundaries and methods share one warm start; one wave per sweep
-    # starts every cell cold. All must give the same bits, also on near-ties:
-    # copied actions, eps_greedy near 1, and data that leave most pairs
-    # unvisited (p_optimal = 1, few short trajectories)
+    # starts every cell cold. Blocks of 1, 3 or all replications stack the
+    # replications' waves, each replication with its own warm start, serially
+    # and in a pool, where a block holds at most a pool task's 3 replications.
+    # All must write the same CSV bytes, also on near-ties: copied actions,
+    # eps_greedy near 1, and data that leave most pairs unvisited (p_optimal = 1,
+    # few short trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
+    replications = 48  # 3 per pool task on 2 workers
     cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,
                                                                     StartMode.uniform()),
                            methods=tuple(methods), eps_grid=tuple(eps_grid),
-                           magnitude_grid=tuple(magnitude_grid), master_seed=seed)
-    ctx = harness._replication_context(cfg, mdp)
-    waves = []
-    real = harness.policy_iteration
+                           magnitude_grid=tuple(magnitude_grid), master_seed=seed,
+                           replications=replications)
+    cells = len(harness.sweep_cells(cfg))
+    cell = mdp.transition.nbytes  # as large as an MLE model's matrices
+    waves = {"one cell": (cell, cells), "two cells": (2 * cell, -(-cells // 2)),
+             "every cell": (1 << 60, 1)}
+    # (wave, replications per block, workers): each wave width and block size
+    # serially, and blocks of 1 and 3 in a pool, where 3 is also the whole run
+    runs = [("every cell", 1, 1), ("two cells", 3, 1), ("one cell", replications, 1),
+            ("every cell", 1, 2), ("one cell", 3, 2)]
+    plans, blocks = [], []
+    real_plan, real_block = harness.policy_iteration, harness._block_task
 
-    def counting(*args, **kwargs):
-        waves.append(1)
-        return real(*args, **kwargs)
+    def plan(*args, **kwargs):
+        plans.append(1)
+        return real_plan(*args, **kwargs)
 
-    out = {}
-    cells = len(ctx.cells)
-    two_cells = 2 * mdp.transition.nbytes  # the MLE matrices are as large
-    with mock.patch.object(harness, "policy_iteration", counting):
-        for wave_bytes, n_waves in ((1, cells), (two_cells, -(-cells // 2)), (1 << 60, 1)):
-            with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes):
-                waves.clear()
-                out[wave_bytes] = [harness._replication_metrics(ctx, rep) for rep in range(2)]
-                assert len(waves) == 2 * n_waves
-    for narrow, pairs, wide in zip(out[1], out[two_cells], out[1 << 60]):
-        for a, b, c in zip(narrow, pairs, wide):  # losses, plain MSE, absorbing MSE
-            np.testing.assert_array_equal(a, c)
-            np.testing.assert_array_equal(b, c)
+    def block_task(ctx, reps):
+        blocks.append(len(reps))
+        return real_block(ctx, reps)
+
+    texts = {}
+    with tempfile.TemporaryDirectory() as tmp, \
+            mock.patch.object(harness, "resolve_mdp", lambda cfg: mdp), \
+            mock.patch.object(harness.os, "cpu_count", lambda: 2):
+        for wave, block, workers in runs:
+            wave_bytes, n_waves = waves[wave]
+            with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes), \
+                    mock.patch.object(harness, "_BLOCK_BYTES",
+                                      block * min(wave_bytes, cells * cell)):
+                if workers > 1:  # the pool pickles its task: count only serial runs
+                    rows = run_experiment(replace(cfg, workers=workers))
+                else:
+                    plans.clear(), blocks.clear()
+                    with mock.patch.object(harness, "policy_iteration", plan), \
+                            mock.patch.object(harness, "_block_task", block_task):
+                        rows = run_experiment(cfg)
+                    assert blocks == [block] * (replications // block)
+                    # one stacked call per wave of a block, and one for the true MDP
+                    assert len(plans) == 1 + n_waves * replications // block
+            path = Path(tmp) / "rows.csv"
+            emit_csv(rows, path)
+            texts[wave, block, workers] = path.read_bytes()
+    assert len(set(texts.values())) == 1, list(texts)
 
 
 def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:

@@ -330,7 +330,7 @@ def test_mdp_validate_reports_every_spec_problem(tmp_path, capsys):
     ({"set": [-1, 2, 10]}, ["start state -1 out of range", "start state 10 out of range"]),
 ], ids=["duplicate", "fixed-too-large", "set-out-of-range"])
 def test_run_rejects_bad_start_states(tmp_path, capsys, monkeypatch, start_mode, needles):
-    monkeypatch.setattr("mdpreg.harness._replication_task", None)  # no replication may run
+    monkeypatch.setattr("mdpreg.harness._block_task", None)  # no replication may run
     cfg_path = tmp_path / "exp.json"
     cfg_path.write_text(json.dumps({
         "mdp": "grid", "replications": 2, "methods": ["none"],

@@ -185,14 +185,15 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers, replications, cpus, pool, chunk", [
         (64, 3, 8, 3, 1),      # no more processes than replications
-        (64, 100, 4, 4, 3),    # nor than CPUs; the chunk follows the pool size
+        (64, 100, 4, 4, 3),    # nor than CPUs; a task's replications follow the pool size
         (2, 6, 1, None, None),  # one CPU runs serially: no pool at all
         (2, 6, None, None, None),  # an unknown CPU count counts as one
         (2, 32, 2, 2, 2),      # two workers on two CPUs keep their pool
     ])
     def test_pool_size_is_capped(self, monkeypatch, workers, replications, cpus, pool,
                                  chunk):
-        # a fake pool that records its size and maps in-process: no process starts
+        # a fake pool that records its size and the replications per task (its
+        # items are blocks of replications) and maps in-process: no process starts
         made = []
 
         class FakePool:
@@ -200,7 +201,7 @@ class TestDeterminism:
                 made.append([max_workers])
 
             def map(self, fn, items, chunksize):
-                made[-1].append(chunksize)
+                made[-1].append(chunksize * len(items[0]))
                 return map(fn, items)
 
             def shutdown(self, wait=True, cancel_futures=False):
@@ -276,19 +277,34 @@ class TestFailureHandling:
             run_experiment(tiny_config(workers=2, replications=32))
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
-        def stuck(problem, initial_policy=None):
-            if problem.t.ndim == 4:  # a wave; the true-MDP solve is unstacked
-                raise PolicyIterationError([1])
-            return policy_iteration(problem)
-
-        monkeypatch.setattr(harness, "policy_iteration", stuck)
-        # problem 1 of the first stacked call is the second cell of wave 0,
-        # which is the second cell of the sweep
+        # one block of all six replications plans grid's seven cells in one
+        # wave; flat problem i of it is replication i // 7, cell i % 7
         cfg = tiny_config()
-        method, strength = sweep_cells(cfg)[1]
-        with pytest.raises(RuntimeError, match=r"replication 0 \(child seed \d+\) failed:"
-                                               rf" .* at cell\(s\) \({method}, {strength:g}\)"):
-            run_experiment(cfg)
+        for problem, rep, cell in ((1, 0, 1),    # the first replication's second cell
+                                   (10, 1, 3)):  # the second replication's fourth cell
+            def stuck(stack, initial_policy=None):
+                if stack.t.ndim == 5:  # a block's wave; the true-MDP solve is unstacked
+                    assert stack.t.shape[:2] == (6, 7)  # (replications, cells)
+                    raise PolicyIterationError([problem, 2 * 7 + 5])  # and replication 2's
+                return policy_iteration(stack)
+
+            monkeypatch.setattr(harness, "policy_iteration", stuck)
+            method, strength = sweep_cells(cfg)[cell]
+            seed = child_seed(cfg.master_seed, rep)
+            with pytest.raises(harness.ReplicationError,
+                               match=rf"^replication {rep} \(child seed {seed}\) failed:"
+                                     rf" .* at cell\(s\) \({method}, {strength:g}\)$"):
+                run_experiment(cfg)
+
+    def test_a_bad_cell_names_the_blocks_first_replication(self):
+        # the blend of a wave fails for every replication of its block at once
+        cfg = tiny_config()
+        ctx = replace(harness._replication_context(cfg, resolve_mdp(cfg)),
+                      cells=(("discount", 2.0),))
+        seed = child_seed(cfg.master_seed, 3)
+        with pytest.raises(harness.ReplicationError,
+                           match=rf"^replication 3 \(child seed {seed}\) failed: strength 2"):
+            harness._block_task(ctx, range(3, 6))
 
 
 class TestSharedPool:
@@ -388,7 +404,7 @@ class TestWaves:
         monkeypatch.setattr(harness, "regularize", lambda *a: blends.append(a) or blend(*a))
         monkeypatch.setattr(harness, "policy_iteration",
                             lambda *a, **k: plans.append(a) or plan(*a, **k))
-        harness._replication_metrics(ctx, 0)
+        harness._block_task(ctx, range(1))
         assert len(blends) == len(plans) == -(-len(ctx.cells) // width)
         assert len(plans) == (18 if cfg.mdp == "cliff" else 1)
         # wave j is cells jw .. jw + w - 1 of the sweep, across method boundaries
@@ -397,22 +413,27 @@ class TestWaves:
         assert len(ctx.cells) == 53
 
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
-    # of the true-MDP evaluations, over replications 0-2 at seed 1729
+    # of the true-MDP evaluations, over replications 0-2 at seed 1729 planned
+    # as one block; one replication at a time made 116, 13 and 14 calls for the
+    # same LU matrices
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (116, 294), (3, 61)),
-        ("grid-random", (13, 461), (3, 13)),
-        ("twogoals-mixed", (14, 448), (3, 34)),
+        ("cliff-random", (45, 294), (3, 61)),
+        ("grid-random", (5, 461), (3, 13)),
+        ("twogoals-mixed", (5, 448), (3, 34)),
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
         # while a timing on a shared host cannot resolve a few percent
         cfg = replace(builtin_presets()[preset], master_seed=1729)
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        # replications per block, sized by the bytes of a wave's stack
+        assert harness._block_size(ctx) == {"cliff-random": 4, "grid-random": 8,
+                                            "twogoals-mixed": 5}[preset]
         work = {"planning": [0, 0], "true": [0, 0]}
 
         def counting(real, key):
-            def evaluate(problem, policy):
-                v = real(problem, policy)
+            def evaluate(problem, *args):
+                v = real(problem, *args)
                 work[key][0] += 1
                 work[key][1] += v.size // problem.n_states
                 return v
@@ -422,21 +443,22 @@ class TestWaves:
                             counting(planning.policy_evaluation, "planning"))
         monkeypatch.setattr(harness, "policy_evaluation",
                             counting(harness.policy_evaluation, "true"))
-        for rep in range(3):
-            harness._replication_metrics(ctx, rep)
+        harness._block_task(ctx, range(3))
         assert (tuple(work["planning"]), tuple(work["true"])) == (planning_work, true_work)
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's
-        # previous cell, evaluate in the true MDP; the waves give the same bits
-        # (on grid all cells share one wave and start cold)
+        # previous cell, evaluate in the true MDP; the waves of a block of three
+        # replications give the same bits (on grid all cells share one wave and
+        # start cold)
         cfg = tiny_config(methods=("eps_greedy", "none", "dirichlet", "discount"),
                           collection=CollectionConfig(3, 6, 0.0, StartMode.fixed(0)))
         mdp = resolve_mdp(cfg)
         ctx = harness._replication_context(cfg, mdp)
         true_problem, pi_opt, v_opt, cells = ctx.true_problem, ctx.pi_opt, ctx.v_opt, ctx.cells
+        block = harness._block_task(ctx, range(3))
         for rep in range(3):
-            got = np.stack(harness._replication_metrics(ctx, rep))
+            got = np.stack(block[rep])
             data = generate_dataset(mdp, pi_opt, cfg.collection, child_seed(cfg.master_seed, rep))
             counts = count(data, mdp.n_states, mdp.n_actions)
             est = mle_model(counts)
