@@ -56,6 +56,9 @@ _WAVE_BYTES = 1 << 18
 # five of two goals, eight of grid. Outputs do not depend on it, so it is
 # neither a config field nor hashed; it bounds the block's memory
 _BLOCK_BYTES = 1 << 20
+# pool tasks per worker: each task of a pooled run of n replications holds
+# n // (workers * _TASKS_PER_WORKER) of them (at least one)
+_TASKS_PER_WORKER = 8
 
 # the dense example limited-start variant needs an explicit list of 5 states
 GRID_LIMITED_STARTS = (0, 2, 4, 6, 8)
@@ -338,7 +341,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.replications
     # the pool forks all its processes at once: never more than can run or have work
     workers = min(cfg.workers, n, os.cpu_count() or 1)
-    chunk = n if workers <= 1 else max(1, n // (workers * 8))  # replications per task
+    chunk = n if workers <= 1 else max(1, n // (workers * _TASKS_PER_WORKER))
     size = min(_block_size(ctx), chunk)
     blocks = [range(b, min(b + size, n)) for b in range(0, n, size)]
     task = partial(_block_task, ctx)

@@ -195,12 +195,11 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     # method boundaries and methods share one warm start; one wave per sweep
     # starts every cell cold. Blocks of 1, 3 or all replications stack the
     # replications' waves, each replication with its own warm start, serially
-    # and in a pool, where a block holds at most a pool task's 3 replications.
-    # All must write the same CSV bytes, also on near-ties: copied actions,
-    # eps_greedy near 1, and data that leave most pairs unvisited (p_optimal = 1,
-    # few short trajectories)
+    # and in a pool of tasks of 3 replications. All must give the same bits,
+    # also on near-ties: copied actions, eps_greedy near 1, and data that leave
+    # most pairs unvisited (p_optimal = 1, few short trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
-    replications = 48  # 3 per pool task on 2 workers
+    replications = 6  # 3 per pool task on 2 workers with one task per worker
     cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,
                                                                     StartMode.uniform()),
                            methods=tuple(methods), eps_grid=tuple(eps_grid),
@@ -211,7 +210,7 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     waves = {"one cell": (cell, cells), "two cells": (2 * cell, -(-cells // 2)),
              "every cell": (1 << 60, 1)}
     # (wave, replications per block, workers): each wave width and block size
-    # serially, and blocks of 1 and 3 in a pool, where 3 is also the whole run
+    # serially, and blocks of 1 and 3 in a pool, where 3 is also a whole task
     runs = [("every cell", 1, 1), ("two cells", 3, 1), ("one cell", replications, 1),
             ("every cell", 1, 2), ("one cell", 3, 2)]
     plans, blocks = [], []
@@ -222,32 +221,43 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
         return real_plan(*args, **kwargs)
 
     def block_task(ctx, reps):
-        blocks.append(len(reps))
-        return real_block(ctx, reps)
+        rows = real_block(ctx, reps)
+        blocks.append(rows)
+        return rows
 
-    texts = {}
+    results, metrics, texts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(harness, "resolve_mdp", lambda cfg: mdp), \
+            mock.patch.object(harness, "_TASKS_PER_WORKER", 1), \
             mock.patch.object(harness.os, "cpu_count", lambda: 2):
-        for wave, block, workers in runs:
+        for run in runs:
+            wave, block, workers = run
             wave_bytes, n_waves = waves[wave]
             with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes), \
                     mock.patch.object(harness, "_BLOCK_BYTES",
                                       block * min(wave_bytes, cells * cell)):
                 if workers > 1:  # the pool pickles its task: count only serial runs
-                    rows = run_experiment(replace(cfg, workers=workers))
+                    results[run] = run_experiment(replace(cfg, workers=workers))
                 else:
                     plans.clear(), blocks.clear()
                     with mock.patch.object(harness, "policy_iteration", plan), \
                             mock.patch.object(harness, "_block_task", block_task):
-                        rows = run_experiment(cfg)
-                    assert blocks == [block] * (replications // block)
+                        results[run] = run_experiment(cfg)
+                    assert [len(rows) for rows in blocks] == [block] * (replications // block)
                     # one stacked call per wave of a block, and one for the true MDP
                     assert len(plans) == 1 + n_waves * replications // block
+                    metrics[run] = [row for rows in blocks for row in rows]
             path = Path(tmp) / "rows.csv"
-            emit_csv(rows, path)
-            texts[wave, block, workers] = path.read_bytes()
-    assert len(set(texts.values())) == 1, list(texts)
+            emit_csv(results[run], path)
+            texts[run] = path.read_bytes()
+    first = runs[0]
+    for run in runs[1:]:
+        assert results[run] == results[first], run  # unrounded means and stderrs
+        assert texts[run] == texts[first], run
+    for run in metrics:  # serial runs: each replication's rows, bit for bit
+        for a, b in zip(metrics[run], metrics[first], strict=True):
+            for x, y in zip(a, b):  # losses, plain MSE, absorbing MSE
+                np.testing.assert_array_equal(x, y)
 
 
 def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:
