@@ -10,8 +10,9 @@ goals all 53 cells in one wave. Wave j of every replication of the block is
 one ``regularize``, one ``policy_iteration`` over the R * w problems and one
 ``transition_mse``; each replication is then scored in the true MDP. A block
 holds as many replications as keep a wave's stack within _BLOCK_BYTES (cliff
-4, two goals 5, grid 8), and a pool task holds whole blocks. Rows aggregate
-mean and standard error across replications.
+4, two goals 5, grid 8), but no more than one worker's share of the run, and a
+pool task holds whole blocks. Rows aggregate mean and standard error across
+replications.
 Replication r always uses child_seed(master_seed, r), each planning problem
 takes the sweeps it would take alone, and aggregation always sums in
 replication order, so results are bit-identical for any worker count and
@@ -56,8 +57,9 @@ _WAVE_BYTES = 1 << 18
 # five of two goals, eight of grid. Outputs do not depend on it, so it is
 # neither a config field nor hashed; it bounds the block's memory
 _BLOCK_BYTES = 1 << 20
-# pool tasks per worker: each task of a pooled run of n replications holds
-# n // (workers * _TASKS_PER_WORKER) of them (at least one)
+# pool tasks per worker: each task of a pooled run of n replications holds as
+# many whole blocks as fit in n // (workers * _TASKS_PER_WORKER) of them (at
+# least one block)
 _TASKS_PER_WORKER = 8
 
 # the dense example limited-start variant needs an explicit list of 5 states
@@ -341,8 +343,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.replications
     # the pool forks all its processes at once: never more than can run or have work
     workers = min(cfg.workers, n, os.cpu_count() or 1)
-    chunk = n if workers <= 1 else max(1, n // (workers * _TASKS_PER_WORKER))
-    size = min(_block_size(ctx), chunk)
+    # a block is at most one worker's share of the run, serial runs included
+    size = min(_block_size(ctx), -(-n // workers))
     blocks = [range(b, min(b + size, n)) for b in range(0, n, size)]
     task = partial(_block_task, ctx)
     results = []
@@ -350,7 +352,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
         for block in blocks:
             results += task(block)
     else:
-        per_task = max(1, chunk // size)  # whole blocks per pool task
+        per_task = max(1, n // (workers * _TASKS_PER_WORKER) // size)  # whole blocks
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:

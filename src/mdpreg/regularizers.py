@@ -86,6 +86,9 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
     if methods.shape != strengths.shape:
         raise ValueError(f"{methods.shape} methods but {strengths.shape} strengths")
     names = methods.ravel().tolist()
+    if counts is None and "dirichlet" in names:
+        raise ValueError("dirichlet cells need counts: their blend weight is each"
+                         " pair's visit count, and counts is None")
     t_hat = model.t_hat
     batch, matrices = t_hat.shape[:-3], t_hat.shape[-3:]
     visits = counts.visit_count.swapaxes(-1, -2)[..., None] if "dirichlet" in names else None

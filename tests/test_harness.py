@@ -35,6 +35,20 @@ def tiny_config(**overrides):
     return ExperimentConfig(**base)
 
 
+class InProcessPool:
+    """A stand-in for the process pool that maps in this process: no process
+    starts, and patches of mdpreg's modules reach the work."""
+
+    def __init__(self, max_workers):
+        self.max_workers = max_workers
+
+    def map(self, fn, items, chunksize):
+        return map(fn, items)
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
 class TestConfig:
     def test_valid_config_has_no_problems(self):
         cfg = tiny_config()
@@ -185,27 +199,24 @@ class TestDeterminism:
 
     @pytest.mark.parametrize("workers, replications, cpus, pool, chunk", [
         (64, 3, 8, 3, 1),      # no more processes than replications
-        (64, 100, 4, 4, 3),    # nor than CPUs; a task's replications follow the pool size
+        (64, 100, 4, 4, 25),   # nor than CPUs; a task is one block of a worker's share
         (2, 6, 1, None, None),  # one CPU runs serially: no pool at all
         (2, 6, None, None, None),  # an unknown CPU count counts as one
-        (2, 32, 2, 2, 2),      # two workers on two CPUs keep their pool
+        (2, 32, 2, 2, 16),     # two workers on two CPUs keep their pool
     ])
     def test_pool_size_is_capped(self, monkeypatch, workers, replications, cpus, pool,
                                  chunk):
-        # a fake pool that records its size and the replications per task (its
-        # items are blocks of replications) and maps in-process: no process starts
+        # a pool that records its size and the replications per task (its
+        # items are blocks of replications)
         made = []
 
-        class FakePool:
+        class FakePool(InProcessPool):
             def __init__(self, max_workers):
                 made.append([max_workers])
 
             def map(self, fn, items, chunksize):
                 made[-1].append(chunksize * len(items[0]))
-                return map(fn, items)
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
+                return super().map(fn, items, chunksize)
 
         cfg = tiny_config(workers=workers, replications=replications)
         serial = run_experiment(override(cfg, workers=1))
@@ -213,6 +224,27 @@ class TestDeterminism:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert run_experiment(cfg) == serial
         assert made == ([] if pool is None else [[pool, chunk]])
+
+    # harness.policy_iteration calls of 20 replications at seed 1729: one for
+    # the true MDP, then one per wave of each block (cliff plans 18 waves in
+    # blocks of 4, two goals one wave in blocks of 5, grid one in blocks of 8,
+    # 8 and 4). A pooled run in blocks of one would make 361, 21 and 21.
+    @pytest.mark.parametrize("preset", ["cliff-random", "twogoals-random", "grid-random"])
+    def test_pooled_runs_plan_in_the_serial_runs_blocks(self, monkeypatch, preset):
+        calls = {"cliff-random": 91, "twogoals-random": 5, "grid-random": 4}[preset]
+        # in-process, so the wrapped policy_iteration counts the pool's calls too
+        made = []
+        real = harness.policy_iteration
+        monkeypatch.setattr(harness, "policy_iteration",
+                            lambda *a, **k: made.append(1) or real(*a, **k))
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        cfg = replace(builtin_presets()[preset], replications=20, master_seed=1729)
+        serial = run_experiment(cfg)
+        assert len(made) == calls
+        made.clear()
+        assert run_experiment(replace(cfg, workers=2)) == serial
+        assert len(made) == calls
 
     def test_csv_bytes_reproduce(self, tmp_path):
         rows = run_experiment(tiny_config())
@@ -259,8 +291,11 @@ class TestFailureHandling:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers see the patched harness only when forked")
     def test_pool_worker_death_names_the_first_missing_replication(self, monkeypatch):
-        # replication 0's worker exits outright; 32 replications on 2 workers
-        # run in chunks of 2, so nothing precedes it and its chunk is 0-1
+        # replication 0's worker exits outright. 32 replications on 2 workers
+        # run in blocks of one worker's share, 16 (the tiny config's block by
+        # bytes is larger), and a task of 32 // (2 * 8) = 2 replications would
+        # split a block, so a task is one whole block: nothing precedes
+        # replication 0 and its chunk is 0-15
         real = harness.generate_dataset
         seed = child_seed(777, 0)
 
@@ -273,7 +308,7 @@ class TestFailureHandling:
         # two processes even on one CPU: serially, the exit would end this process
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, chunk of"
-                                               rf" replications 0-1\) was not received"):
+                                               rf" replications 0-15\) was not received"):
             run_experiment(tiny_config(workers=2, replications=32))
 
     def test_non_convergence_names_the_cell(self, monkeypatch):

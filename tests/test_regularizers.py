@@ -257,3 +257,5 @@ class TestBlendProperties:
             regularize(model, counts, "none", 0.5, GAMMA)
         with pytest.raises(ValueError, match=r"\(2,\) methods but \(1,\) strengths"):
             regularize(model, counts, ("dirichlet", "discount"), (1.0,), GAMMA)
+        with pytest.raises(ValueError, match="dirichlet cells need counts"):
+            regularize(model, None, "dirichlet", 1.0, GAMMA)
