@@ -17,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .mdp import TabularMdp, is_integer, is_real
+from .mdp import TabularMdp, check_policy, is_integer, is_real
 
 
 # (check, expected type) of an integer config field
@@ -131,9 +131,14 @@ class CollectionConfig:
 
 def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,
                      master_seed: int) -> Dataset:
-    """cfg.n_trajectories rows of read-only arrays; see the module docstring for the draws."""
+    """cfg.n_trajectories rows of read-only arrays; see the module docstring for
+    the draws. ``optimal`` is the policy p_optimal follows, one action per state."""
     n, n_actions, rows, length = (mdp.n_states, mdp.n_actions, cfg.n_trajectories,
                                   cfg.trajectory_length)
+    optimal = check_policy(optimal, n_actions, "optimal")
+    if optimal.shape != (n,):
+        raise ValueError(f"optimal must hold one action per state, shape ({n},),"
+                         f" got shape {optimal.shape}")
     u_rng, z_rng = map(np.random.default_rng, np.random.SeedSequence(master_seed).spawn(2))
     u, z = u_rng.random((rows, 1 + 3 * length)), z_rng.standard_normal((rows, length))
     # absorbing states step to themselves (a step CDF) and pay exactly 0.0

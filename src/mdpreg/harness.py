@@ -8,7 +8,11 @@ many per wave as keep one replication's stack of blended matrices within
 _WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
 goals all 53 cells in one wave. Wave j of every replication of the block is
 one ``regularize``, one ``policy_iteration`` over the R * w problems and one
-``transition_mse``; each replication is then scored in the true MDP. A block
+``transition_mse``; each replication is then scored in the true MDP. Each
+problem starts from the nearest one its replication has solved (_starts): a
+strength-0 cell, the MLE problem itself, from the first one an earlier wave
+solved; any other cell of wave 0 from the MLE model's greedy policy under the
+true optimal values; any other cell from the previous wave's last cell. A block
 holds as many replications as keep a wave's stack within _BLOCK_BYTES (cliff
 4, two goals 5, grid 8), but no more than one worker's share of the run, and a
 pool task holds whole blocks. Rows aggregate mean and standard error across
@@ -41,7 +45,7 @@ from .estimation import CountsTensor, count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp, is_real
 from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
-                       policy_iteration)
+                       policy_iteration, q_from_values)
 from .regularizers import METHODS, regularize
 from .seeding import child_seed
 
@@ -203,6 +207,7 @@ class _ReplicationContext:
     start_dist: np.ndarray
     cells: tuple[tuple[str, float], ...]
     width: int  # cells per wave
+    starts: np.ndarray  # cell i's policy iteration starts from cell starts[i]'s policy
     collection: CollectionConfig
     master_seed: int
 
@@ -212,6 +217,7 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
     true_problem = PlanningProblem.from_mdp(mdp)
     pi_opt, _ = policy_iteration(true_problem)
     cells = tuple(sweep_cells(cfg))
+    width = min(len(cells), max(1, _WAVE_BYTES // mdp.transition.nbytes))
     return _ReplicationContext(
         mdp=mdp,
         true_problem=true_problem,
@@ -219,10 +225,23 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
         v_opt=policy_evaluation(true_problem, pi_opt),
         start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
         cells=cells,
-        width=min(len(cells), max(1, _WAVE_BYTES // mdp.transition.nbytes)),
+        width=width,
+        starts=_starts(cells, width),
         collection=cfg.collection,
         master_seed=cfg.master_seed,
     )
+
+
+def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
+    """For each cell, the cell whose policy starts its policy iteration, or -1
+    for the MLE model's greedy policy under the true optimal values. A
+    strength-0 cell blends nothing, so it is the MLE problem: the first one
+    solved starts the later waves' others, which then take one sweep."""
+    mle = next((i for i, (_, strength) in enumerate(cells) if strength == 0.0), None)
+    return np.array([
+        mle if mle is not None and mle // width < i // width and strength == 0.0
+        else i // width * width - 1  # the previous wave's last cell; -1 in wave 0
+        for i, (_, strength) in enumerate(cells)], dtype=np.int64)
 
 
 def _block_size(ctx: _ReplicationContext) -> int:
@@ -269,16 +288,19 @@ def _block_metrics(ctx: _ReplicationContext, reps: range
         counts = CountsTensor(c, reward_sum, c.sum(axis=-1))
         est = mle_model(counts)
 
-        policies = np.empty((len(reps), len(cells), n), dtype=np.int64)
+        # a replication's policy per cell, then in the last column the MLE
+        # model's greedy policy under the true optimal values: -1 in ctx.starts
+        policies = np.empty((len(reps), len(cells) + 1, n), dtype=np.int64)
+        mle = PlanningProblem(est.t_hat, est.r_hat, mdp.gamma)
+        policies[:, -1] = q_from_values(mle, ctx.v_opt).argmax(axis=-1)
         mse_plain, mse_abs = np.empty((2, len(reps), len(cells)))
-        warm = None  # a replication's previous wave's last policy starts its wave
         for start in range(0, len(cells), ctx.width):
-            wave = slice(start, start + ctx.width)
+            wave = slice(start, min(start + ctx.width, len(cells)))
             methods, strengths = zip(*cells[wave])
             reg = regularize(est, counts, methods, strengths, mdp.gamma)
             try:
                 policy = policy_iteration(PlanningProblem.from_regularized(reg),
-                                          initial_policy=warm)[0]
+                                          initial_policy=policies[:, ctx.starts[wave]])[0]
             except PolicyIterationError as exc:
                 # flat problem i is replication i // w, cell i % w of the wave
                 stuck = [divmod(i, len(methods)) for i in exc.problems]
@@ -286,14 +308,15 @@ def _block_metrics(ctx: _ReplicationContext, reps: range
                 names = ", ".join(f"({methods[j]}, {strengths[j]:g})"
                                   for r, j in stuck if r == stuck[0][0])
                 raise RuntimeError(f"{exc} at cell(s) {names}") from exc
-            policies[:, wave], warm = policy, policy[:, -1:]
+            policies[:, wave] = policy
             mse = transition_mse(mdp.transition, reg)
             mse_plain[:, wave] = mse.mse_plain
             mse_abs[:, wave] = mse.mse_absorbing
             del reg  # before the next wave's stack is made: two would double the peak
 
         rows = []
-        for culprit, chosen, plain, absorbing in zip(reps, policies, mse_plain, mse_abs):
+        for culprit, chosen, plain, absorbing in zip(reps, policies[:, :-1], mse_plain,
+                                                     mse_abs):
             # evaluate each distinct policy once in the true MDP; keying rows by
             # their bytes is several times faster than np.unique(axis=0) on 53 rows
             first = {}  # a policy's bytes -> the first cell that chose it

@@ -39,6 +39,17 @@ def is_integer(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def check_policy(policy, n_actions: int, name: str = "policy") -> np.ndarray:
+    """``policy`` as an array, or a ValueError unless it holds integer actions
+    in [0, n_actions): 1.7 would truncate to action 1 and -1 index the last."""
+    policy = np.asarray(policy)
+    if (policy.dtype.kind not in "iu" or policy.min(initial=0) < 0
+            or policy.max(initial=0) >= n_actions):
+        raise ValueError(f"{name} must hold integer actions in [0, {n_actions}),"
+                         f" got {policy.dtype} values {np.unique(policy)}")
+    return policy
+
+
 def is_real(value) -> bool:
     """A real number a float can hold, NaN and infinities included; no bool."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)

@@ -13,7 +13,7 @@ from functools import cache
 
 import numpy as np
 
-from .mdp import TIE_TOL, TabularMdp
+from .mdp import TIE_TOL, TabularMdp, check_policy
 from .regularizers import RegularizedModel
 
 _MAX_SWEEPS = 10_000
@@ -88,7 +88,9 @@ def policy_evaluation(problem: PlanningProblem, policy: np.ndarray,
     (..., n_states) broadcast against the problem's batch axes: one problem
     under many policies, or one per stacked problem. ``problems``, indices into
     a (k,) stack, solves only those, one policy (k', n_states) each, and gathers
-    no row of the others."""
+    no row of the others, and leaves the policies unchecked."""
+    if problems is None:
+        policy = check_policy(policy, problem.n_actions)
     n = problem.n_states
     idx = np.arange(n)
     cells = _cells(problem.t.shape[:-3]) if problems is None else (problems[:, None],)
@@ -141,15 +143,10 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
     sweep solves the problems not yet converged in one batched solve.
     """
     batch, (n_actions, n) = problem.t.shape[:-3], problem.t.shape[-3:-1]
-    init = np.asarray(0 if initial_policy is None else initial_policy)
     policy = np.empty(batch + (n,), dtype=np.int64)
-    if init.dtype.kind in "iu":
-        policy[...] = init  # a ValueError unless init broadcasts
-    # checked once, here: 1.7 would truncate to action 1 and -1 wrap to the last;
-    # read as unsigned, a negative action is above every valid one
-    if init.dtype.kind not in "iu" or policy.view(np.uint64).max(initial=0) >= n_actions:
-        raise ValueError(f"initial_policy must hold integer actions in [0, {n_actions}),"
-                         f" got {init.dtype} values {np.unique(init)}")
+    # checked once, here; a ValueError unless it broadcasts
+    policy[...] = check_policy(0 if initial_policy is None else initial_policy, n_actions,
+                               "initial_policy")
     # the stack as a view of (k,) problems, left unchecked; a sweep solves the
     # active ones and takes the lookahead of all, stale values and all, so that
     # no problem's matrices are copied

@@ -125,6 +125,19 @@ def test_uniform_start_mode_covers_all_states():
     assert starts == {0, 1, 2, 3}
 
 
+@pytest.mark.parametrize("optimal, problem", [
+    (np.full(3, -1), r"optimal must hold integer actions in \[0, 2\), got int64 values \[-1\]"),
+    (np.full(3, 2), r"got int64 values \[2\]"),
+    (np.full(3, 1.0), r"got float64 values \[1\.\]"),
+    (np.ones(3, dtype=bool), r"got bool values \[ True\]"),
+    (np.zeros((2, 3), dtype=int), r"one action per state, shape \(3,\), got shape \(2, 3\)"),
+])
+def test_behavior_policy_is_checked_not_coerced(optimal, problem):
+    # -1 would record action -1 and draw next states from the last action's rows
+    with pytest.raises(ValueError, match=problem):
+        generate_dataset(make_mdp(), optimal, CollectionConfig(50, 10, 1.0), 7)
+
+
 def test_start_mode_validation():
     with pytest.raises(ConfigError):
         StartMode("typo")

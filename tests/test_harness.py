@@ -17,7 +17,8 @@ from mdpreg import (CollectionConfig, ConfigError, ExperimentConfig, StartMode,
                     build_two_goals, count, generate_dataset, mle_model,
                     policy_evaluation, regularize, transition_mse)
 from mdpreg.harness import CSV_HEADER, override, resolve_mdp, sweep_cells
-from mdpreg.planning import PlanningProblem, PolicyIterationError, policy_iteration
+from mdpreg.planning import (PlanningProblem, PolicyIterationError, policy_iteration,
+                             q_from_values)
 from mdpreg.seeding import child_seed
 
 
@@ -449,12 +450,12 @@ class TestWaves:
 
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
     # of the true-MDP evaluations, over replications 0-2 at seed 1729 planned
-    # as one block; one replication at a time made 116, 13 and 14 calls for the
+    # as one block; one replication at a time made 101, 8 and 13 calls for the
     # same LU matrices
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (45, 294), (3, 61)),
-        ("grid-random", (5, 461), (3, 13)),
-        ("twogoals-mixed", (5, 448), (3, 34)),
+        ("cliff-random", (39, 268), (3, 61)),
+        ("grid-random", (3, 310), (3, 13)),
+        ("twogoals-mixed", (5, 401), (3, 34)),
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
@@ -481,11 +482,54 @@ class TestWaves:
         harness._block_task(ctx, range(3))
         assert (tuple(work["planning"]), tuple(work["true"])) == (planning_work, true_work)
 
+    def test_every_problem_starts_from_the_nearest_solved_one(self, monkeypatch):
+        # cliff plans 3 cells per wave: dirichlet 0-1000 are cells 0-10,
+        # discount 0-1 cells 11-31 and eps_greedy 0-1 cells 32-52
+        cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
+        mdp = resolve_mdp(cfg)
+        ctx = harness._replication_context(cfg, mdp)
+        waves, sweeps = [], []  # (initial policy, policy, each sweep's problems) per wave
+        plan, evaluate = harness.policy_iteration, planning.policy_evaluation
+
+        def planning_wave(problem, initial_policy):
+            sweeps.clear()
+            policy = plan(problem, initial_policy)[0]
+            waves.append((initial_policy.copy(), policy, list(sweeps)))
+            return policy, None
+
+        monkeypatch.setattr(harness, "policy_iteration", planning_wave)
+        monkeypatch.setattr(planning, "policy_evaluation",
+                            lambda problem, policy, problems=None: sweeps.append(problems)
+                            or evaluate(problem, policy, problems))
+        reps = range(3)
+        harness._block_task(ctx, reps)
+        assert len(waves) == 18 and ctx.cells[11] == ("discount", 0.0) \
+            and ctx.cells[32] == ("eps_greedy", 0.0)
+        # wave 0 starts from the MLE model's greedy policy under the true values
+        for rep, initial in zip(reps, waves[0][0]):
+            data = generate_dataset(mdp, ctx.pi_opt, cfg.collection,
+                                    child_seed(cfg.master_seed, rep))
+            est = mle_model(count(data, mdp.n_states, mdp.n_actions))
+            q = q_from_values(PlanningProblem(est.t_hat, est.r_hat, mdp.gamma), ctx.v_opt)
+            assert (initial == q.argmax(axis=-1)).all(), rep
+        dirichlet_0 = waves[0][1][:, 0]
+        for j, (initial, _, solved) in enumerate(waves[1:], start=1):
+            # the previous wave's last policy starts each cell of a later wave
+            mle = {3: 2, 10: 2}.get(j)  # the wave's column of the dis0 or eps0 cell
+            others = [c for c in range(initial.shape[1]) if c != mle]
+            np.testing.assert_array_equal(initial[:, others],
+                                          np.repeat(waves[j - 1][1][:, -1:], len(others), 1))
+            if mle is not None:
+                # the MLE problem again: it starts from dirichlet 0 and takes one sweep
+                np.testing.assert_array_equal(initial[:, mle], dirichlet_0)
+                flat = [3 * r + mle for r in range(len(reps))]
+                assert [sum(i in active for active in solved) for i in flat] == [1, 1, 1]
+
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's
         # previous cell, evaluate in the true MDP; the waves of a block of three
         # replications give the same bits (on grid all cells share one wave and
-        # start cold)
+        # start from the MLE model's lookahead under the true values)
         cfg = tiny_config(methods=("eps_greedy", "none", "dirichlet", "discount"),
                           collection=CollectionConfig(3, 6, 0.0, StartMode.fixed(0)))
         mdp = resolve_mdp(cfg)

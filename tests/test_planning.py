@@ -118,10 +118,14 @@ class TestPolicyIteration:
         (np.zeros((2, 5), dtype=int), r"broadcast .*\(2, ?5\)"),
     ])
     def test_initial_policy_is_checked_not_coerced(self, initial_policy, problem):
-        # once, at entry: 1.7 would truncate to action 1 and -1 wrap to action 2
-        mdp = random_mdp(np.random.default_rng(8), 5, 3)
+        # once, at entry: 1.7 would truncate to action 1 and -1 wrap to action 2;
+        # policy_evaluation checks the same, and evaluates (2, 5) as two policies
+        planning_problem = PlanningProblem.from_mdp(random_mdp(np.random.default_rng(8), 5, 3))
         with pytest.raises(ValueError, match=problem):
-            policy_iteration(PlanningProblem.from_mdp(mdp), initial_policy=initial_policy)
+            policy_iteration(planning_problem, initial_policy=initial_policy)
+        if initial_policy.shape == (5,):
+            with pytest.raises(ValueError, match=problem):
+                policy_evaluation(planning_problem, initial_policy)
 
 
 class TestBatchedEvaluation:
