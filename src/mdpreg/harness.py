@@ -6,16 +6,17 @@ draws a dataset and counts it into a stacked (R, ...) array, and one
 strength) cells in waves: contiguous slices of the cells in output order, as
 many per wave as keep one replication's stack of blended matrices within
 _WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
-goals all 53 cells in one wave. Wave j of every replication of the block is
-one ``regularize``, one ``policy_iteration`` over the R * w problems and one
-``transition_mse``; each replication is then scored in the true MDP. Each
-problem starts from the nearest one its replication has solved (_starts): a
-strength-0 cell, the MLE problem itself, from the first one an earlier wave
-solved; any other cell of wave 0 from the MLE model's greedy policy under the
-true optimal values; any other cell from the previous wave's last cell. A block
-holds as many replications as keep a wave's stack within _BLOCK_BYTES (cliff
-4, two goals 5, grid 8), but no more than one worker's share of the run, and a
-pool task holds whole blocks. Rows aggregate mean and standard error across
+goals all 53 cells in one wave. Wave j of every replication of the block is one
+``regularize``, one ``policy_iteration`` over the R * w problems and one
+``transition_mse``; one true-MDP ``policy_evaluation`` then scores every
+distinct policy of the block, into one (3, R, cells) array. Each problem starts
+from the nearest one its replication has solved (_starts): a strength-0 cell,
+the MLE problem itself, from the first one an earlier wave solved; any other
+cell of wave 0 from the MLE model's greedy policy under the true optimal
+values; any other cell from the previous wave's last cell. A block holds as
+many replications as keep a wave's stack within _BLOCK_BYTES (cliff 4, two
+goals 5, grid 8), but no more than one worker's share of the run, and a pool
+task holds whole blocks. Rows aggregate mean and standard error across
 replications.
 Replication r always uses child_seed(master_seed, r), each planning problem
 takes the sweeps it would take alone, and aggregation always sums in
@@ -207,6 +208,7 @@ class _ReplicationContext:
     start_dist: np.ndarray
     cells: tuple[tuple[str, float], ...]
     width: int  # cells per wave
+    block_size: int  # replications per block: as many as keep a wave's stack in _BLOCK_BYTES
     starts: np.ndarray  # cell i's policy iteration starts from cell starts[i]'s policy
     collection: CollectionConfig
     master_seed: int
@@ -226,6 +228,7 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
         start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
         cells=cells,
         width=width,
+        block_size=max(1, _BLOCK_BYTES // (width * mdp.transition.nbytes)),
         starts=_starts(cells, width),
         collection=cfg.collection,
         master_seed=cfg.master_seed,
@@ -244,34 +247,28 @@ def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
         for i, (_, strength) in enumerate(cells)], dtype=np.int64)
 
 
-def _block_size(ctx: _ReplicationContext) -> int:
-    """Replications per block: as many as keep a wave's stack within _BLOCK_BYTES."""
-    return max(1, _BLOCK_BYTES // (ctx.width * ctx.mdp.transition.nbytes))
-
-
-def _block_task(ctx: _ReplicationContext, reps: range
-                ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The (losses, plain MSE, absorbing MSE) rows of replications ``reps``,
-    planned as one block."""
-    rows = []  # filled by the block's first replication
-    return [_replication_metrics(ctx, rep, block=(reps, rows)) for rep in reps]
+def _block_task(ctx: _ReplicationContext, reps: range) -> np.ndarray:
+    """The (3, replications, cells) losses, plain MSE and absorbing MSE of
+    replications ``reps``, planned as one block."""
+    out = []  # filled by the block's first replication
+    for rep in reps:
+        _replication_metrics(ctx, rep, block=(reps, out))
+    return out[0]
 
 
 def _replication_metrics(ctx: _ReplicationContext, rep: int, *, block: tuple[range, list]
-                         ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Replication ``rep``'s rows; the block's first replication plans the block.
-    A shim for perfbench's tracer, which times one call of this per replication:
-    fold it into _block_task when the benchmark reads the run's own numbers."""
-    reps, rows = block
+                         ) -> None:
+    """The block's first replication plans the block into its list. A shim for
+    perfbench's tracer, which times one call of this per replication: fold it
+    into _block_task when the benchmark reads the run's own numbers."""
+    reps, out = block
     if rep == reps.start:
-        rows += _block_metrics(ctx, reps)
-    return rows[rep - reps.start]
+        out.append(_block_metrics(ctx, reps))
 
 
-def _block_metrics(ctx: _ReplicationContext, reps: range
-                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     """Replications ``reps``: data -> stacked estimate -> waves of the block's
-    cells -> per-replication scores. A failure raises a ReplicationError naming
+    cells -> one true-MDP scoring. A failure raises a ReplicationError naming
     the replication it belongs to, or the block's first for a whole-block step."""
     mdp, cells = ctx.mdp, ctx.cells
     n, n_actions = mdp.n_states, mdp.n_actions
@@ -293,7 +290,8 @@ def _block_metrics(ctx: _ReplicationContext, reps: range
         policies = np.empty((len(reps), len(cells) + 1, n), dtype=np.int64)
         mle = PlanningProblem(est.t_hat, est.r_hat, mdp.gamma)
         policies[:, -1] = q_from_values(mle, ctx.v_opt).argmax(axis=-1)
-        mse_plain, mse_abs = np.empty((2, len(reps), len(cells)))
+        metrics = np.empty((3, len(reps), len(cells)))
+        loss, mse_plain, mse_abs = metrics
         for start in range(0, len(cells), ctx.width):
             wave = slice(start, min(start + ctx.width, len(cells)))
             methods, strengths = zip(*cells[wave])
@@ -314,18 +312,16 @@ def _block_metrics(ctx: _ReplicationContext, reps: range
             mse_abs[:, wave] = mse.mse_absorbing
             del reg  # before the next wave's stack is made: two would double the peak
 
-        rows = []
-        for culprit, chosen, plain, absorbing in zip(reps, policies[:, :-1], mse_plain,
-                                                     mse_abs):
-            # evaluate each distinct policy once in the true MDP; keying rows by
-            # their bytes is several times faster than np.unique(axis=0) on 53 rows
-            first = {}  # a policy's bytes -> the first cell that chose it
-            owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(chosen)]
-            v_reg = policy_evaluation(ctx.true_problem, chosen[list(first.values())])
-            loss = {i: np.dot(ctx.start_dist, ctx.v_opt - v)
-                    for i, v in zip(first.values(), v_reg)}
-            rows.append((np.array([loss[i] for i in owner]), plain, absorbing))
-        return rows
+        # evaluate each distinct policy of the block once in the true MDP. Keying
+        # rows by their bytes is several times faster than np.unique(axis=0), and
+        # one np.dot per policy keeps bits that gaps @ start_dist would move
+        chosen = policies[:, :-1].reshape(-1, n)
+        first = {}  # a policy's bytes -> the first (replication, cell) row that chose it
+        owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(chosen)]
+        v_reg = policy_evaluation(ctx.true_problem, chosen[list(first.values())])
+        gap = {i: np.dot(ctx.start_dist, ctx.v_opt - v) for i, v in zip(first.values(), v_reg)}
+        loss.flat = [gap[i] for i in owner]
+        return metrics
     except Exception as exc:
         raise ReplicationError(f"replication {culprit} (child seed"
                                f" {child_seed(ctx.master_seed, culprit)}) failed: {exc}"
@@ -367,20 +363,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     # the pool forks all its processes at once: never more than can run or have work
     workers = min(cfg.workers, n, os.cpu_count() or 1)
     # a block is at most one worker's share of the run, serial runs included
-    size = min(_block_size(ctx), -(-n // workers))
+    size = min(ctx.block_size, -(-n // workers))
     blocks = [range(b, min(b + size, n)) for b in range(0, n, size)]
     task = partial(_block_task, ctx)
-    results = []
+    results = []  # one (3, replications, cells) array per block, in order
     if workers <= 1:
-        for block in blocks:
-            results += task(block)
+        results += map(task, blocks)
     else:
         per_task = max(1, n // (workers * _TASKS_PER_WORKER) // size)  # whole blocks
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:
-                for rows in _shared_pool(workers).map(task, blocks, chunksize=per_task):
-                    results += rows
+                for metrics in _shared_pool(workers).map(task, blocks, chunksize=per_task):
+                    results.append(metrics)
                 break
             except BrokenProcessPool as exc:
                 _drop_pool(cancel=True)
@@ -390,8 +385,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     reused = False
                     results.clear()
                     continue
-                # map yields in replication order: the first result missing is len(results)
-                rep = len(results)
+                # map yields blocks in replication order: the first missing starts this one
+                rep = len(results) * size
                 first = rep - rep % (per_task * size)
                 last = min(first + per_task * size, n) - 1
                 raise ReplicationError(
@@ -402,8 +397,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                 _drop_pool(cancel=True)
                 raise
 
-    # stack in replication order; np reductions then sum in a fixed order
-    losses, mse_plain, mse_abs = map(np.stack, zip(*results))
+    # in replication order; np reductions then sum in a fixed order
+    losses, mse_plain, mse_abs = np.concatenate(results, axis=1)
     stderr = (losses.std(axis=0, ddof=1) / np.sqrt(n) if n > 1
               else np.zeros(losses.shape[1]))
     digest = config_hash(cfg)

@@ -45,6 +45,8 @@ class PlanningProblem:
     def __post_init__(self):
         t, r = np.asarray(self.t, dtype=float), np.asarray(self.r, dtype=float)
         object.__setattr__(self, "t", t)
+        if t.ndim < 3 or t.shape[-1] != t.shape[-2]:
+            raise ValueError(f"transition matrices must be (..., A, N, N), got shape {t.shape}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         # "not min ok" rather than "min bad": a NaN makes min NaN, failing every comparison
@@ -89,9 +91,11 @@ def policy_evaluation(problem: PlanningProblem, policy: np.ndarray,
     under many policies, or one per stacked problem. ``problems``, indices into
     a (k,) stack, solves only those, one policy (k', n_states) each, and gathers
     no row of the others, and leaves the policies unchecked."""
+    n = problem.n_states
     if problems is None:
         policy = check_policy(policy, problem.n_actions)
-    n = problem.n_states
+        if policy.shape[-1:] != (n,):
+            raise ValueError(f"policy must be (..., {n}) for {n} states, got shape {policy.shape}")
     idx = np.arange(n)
     cells = _cells(problem.t.shape[:-3]) if problems is None else (problems[:, None],)
     t_pi = problem.t[cells + (policy, idx)]

@@ -224,9 +224,9 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
         return real_plan(*args, **kwargs)
 
     def block_task(ctx, reps):
-        rows = real_block(ctx, reps)
-        blocks.append(rows)
-        return rows
+        metrics = real_block(ctx, reps)
+        blocks.append(metrics)
+        return metrics
 
     results, metrics, texts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp, \
@@ -246,10 +246,10 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
                     with mock.patch.object(harness, "policy_iteration", plan), \
                             mock.patch.object(harness, "_block_task", block_task):
                         results[run] = run_experiment(cfg)
-                    assert [len(rows) for rows in blocks] == [block] * (replications // block)
+                    assert [m.shape[1] for m in blocks] == [block] * (replications // block)
                     # one stacked call per wave of a block, and one for the true MDP
                     assert len(plans) == 1 + n_waves * replications // block
-                    metrics[run] = [row for rows in blocks for row in rows]
+                    metrics[run] = np.concatenate(blocks, axis=1)
             path = Path(tmp) / "rows.csv"
             emit_csv(results[run], path)
             texts[run] = path.read_bytes()
@@ -257,10 +257,10 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     for run in runs[1:]:
         assert results[run] == results[first], run  # unrounded means and stderrs
         assert texts[run] == texts[first], run
-    for run in metrics:  # serial runs: each replication's rows, bit for bit
-        for a, b in zip(metrics[run], metrics[first], strict=True):
-            for x, y in zip(a, b):  # losses, plain MSE, absorbing MSE
-                np.testing.assert_array_equal(x, y)
+    for run in metrics:  # serial runs: each replication's metrics, bit for bit
+        # (losses, plain MSE, absorbing MSE) x (replication, cell)
+        assert metrics[run].shape == (3, replications, cells)
+        np.testing.assert_array_equal(metrics[run], metrics[first])
 
 
 def augmented_mse(t_true: np.ndarray, t_reg: np.ndarray) -> float:

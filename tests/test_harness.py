@@ -342,6 +342,25 @@ class TestFailureHandling:
                            match=rf"^replication 3 \(child seed {seed}\) failed: strength 2"):
             harness._block_task(ctx, range(3, 6))
 
+    def test_a_scoring_failure_names_the_blocks_first_replication(self, monkeypatch):
+        # one true-MDP solve scores the whole block; no real run fails there,
+        # as the true MDP's I - gamma * T_pi is nonsingular
+        cfg = tiny_config()
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        calls = []
+
+        def singular(problem, policy):
+            calls.append(policy.shape)
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        monkeypatch.setattr(harness, "policy_evaluation", singular)
+        seed = child_seed(cfg.master_seed, 3)
+        with pytest.raises(harness.ReplicationError,
+                           match=rf"^replication 3 \(child seed {seed}\) failed: Singular"):
+            harness._block_task(ctx, range(3, 6))
+        # every distinct policy of the three replications, in one call
+        assert len(calls) == 1 and calls[0][1:] == (ctx.mdp.n_states,)
+
 
 class TestSharedPool:
     """Pooled runs in one process share one executor while their size holds."""
@@ -450,12 +469,15 @@ class TestWaves:
 
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
     # of the true-MDP evaluations, over replications 0-2 at seed 1729 planned
-    # as one block; one replication at a time made 101, 8 and 13 calls for the
-    # same LU matrices
+    # as one block; one replication at a time made 101, 8 and 13 planning
+    # calls for the same LU matrices. The block scores all its policies in one
+    # call, so a policy two replications chose is solved once: scored one
+    # replication at a time, grid-optimal took 3 calls and 6 LU matrices
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (39, 268), (3, 61)),
-        ("grid-random", (3, 310), (3, 13)),
-        ("twogoals-mixed", (5, 401), (3, 34)),
+        ("cliff-random", (39, 268), (1, 61)),
+        ("grid-random", (3, 310), (1, 13)),
+        ("twogoals-mixed", (5, 401), (1, 34)),
+        ("grid-optimal", (2, 235), (1, 4)),
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
@@ -463,8 +485,8 @@ class TestWaves:
         cfg = replace(builtin_presets()[preset], master_seed=1729)
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         # replications per block, sized by the bytes of a wave's stack
-        assert harness._block_size(ctx) == {"cliff-random": 4, "grid-random": 8,
-                                            "twogoals-mixed": 5}[preset]
+        assert ctx.block_size == {"cliff-random": 4, "grid-random": 8, "twogoals-mixed": 5,
+                                  "grid-optimal": 8}[preset]
         work = {"planning": [0, 0], "true": [0, 0]}
 
         def counting(real, key):
@@ -536,8 +558,9 @@ class TestWaves:
         ctx = harness._replication_context(cfg, mdp)
         true_problem, pi_opt, v_opt, cells = ctx.true_problem, ctx.pi_opt, ctx.v_opt, ctx.cells
         block = harness._block_task(ctx, range(3))
+        assert block.shape == (3, 3, len(cells))  # (metric, replication, cell)
         for rep in range(3):
-            got = np.stack(block[rep])
+            got = block[:, rep]
             data = generate_dataset(mdp, pi_opt, cfg.collection, child_seed(cfg.master_seed, rep))
             counts = count(data, mdp.n_states, mdp.n_actions)
             est = mle_model(counts)

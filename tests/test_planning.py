@@ -1,4 +1,5 @@
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -178,6 +179,20 @@ class TestPlanningProblemValidation:
     def test_rewards_must_be_finite(self):
         with pytest.raises(ValueError, match="rewards must be finite"):
             PlanningProblem(np.ones((1, 1, 1)), np.array([[np.nan]]), 0.9)
+
+    @pytest.mark.parametrize("t", [np.full((2, 3, 4), 0.25), np.full((3, 3), 0.25)],
+                             ids=["not-square", "2-d"])
+    def test_transitions_must_be_actions_by_square_matrices(self, t):
+        # neither may build: policy iteration would then fail deep inside numpy
+        with pytest.raises(ValueError, match=re.escape(f"(..., A, N, N), got shape {t.shape}")):
+            PlanningProblem(t, np.zeros((4, 2)), 0.9)
+
+    def test_evaluated_policy_must_have_one_action_per_state(self):
+        problem = PlanningProblem.from_mdp(random_mdp(np.random.default_rng(8), 5, 3))
+        for policy in (np.zeros(4, dtype=int), np.zeros((2, 6), dtype=int)):
+            with pytest.raises(ValueError, match=re.escape(f"policy must be (..., 5) for 5"
+                                                           f" states, got shape {policy.shape}")):
+                policy_evaluation(problem, policy)
 
     def test_rewards_broadcast_to_one_table_per_problem(self):
         t = np.full((3, 1, 2, 2), 0.5)
