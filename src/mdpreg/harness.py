@@ -8,16 +8,14 @@ many per wave as keep one replication's stack of blended matrices within
 _WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
 goals all 53 cells in one wave. Wave j of every replication of the block is one
 ``regularize``, one ``policy_iteration`` over the R * w problems and one
-``transition_mse``; one true-MDP ``policy_evaluation`` then scores every
-distinct policy of the block, into one (3, R, cells) array. Each problem starts
-from the nearest one its replication has solved (_starts): a strength-0 cell,
-the MLE problem itself, from the first one an earlier wave solved; any other
-cell of wave 0 from the MLE model's greedy policy under the true optimal
-values; any other cell from the previous wave's last cell. A block holds as
-many replications as keep a wave's stack within _BLOCK_BYTES (cliff 4, two
-goals 5, grid 8), but no more than one worker's share of the run, and a pool
-task holds whole blocks. Rows aggregate mean and standard error across
-replications.
+``transition_mse``; true-MDP ``policy_evaluation`` calls, each gathering at
+most _BLOCK_BYTES, then score every distinct policy of the block into one
+(3, R, cells) array. Wave 0's problems start from their own greedy policies
+under the true optimal values, a later problem from the nearest one its
+replication has solved (_starts). A block holds as many replications as keep a
+wave's stack within _BLOCK_BYTES (cliff 4, two goals 5, grid 8), but no more
+than one worker's share of the run, and a pool task holds whole blocks. Rows
+aggregate mean and standard error across replications.
 Replication r always uses child_seed(master_seed, r), each planning problem
 takes the sweeps it would take alone, and aggregation always sums in
 replication order, so results are bit-identical for any worker count and
@@ -237,9 +235,10 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
 
 def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
     """For each cell, the cell whose policy starts its policy iteration, or -1
-    for the MLE model's greedy policy under the true optimal values. A
-    strength-0 cell blends nothing, so it is the MLE problem: the first one
-    solved starts the later waves' others, which then take one sweep."""
+    in wave 0, whose problems start from their own greedy policies under the
+    true optimal values. A strength-0 cell blends nothing, so it is the MLE
+    problem: the first one solved starts the later waves' others, which then
+    take one sweep."""
     mle = next((i for i, (_, strength) in enumerate(cells) if strength == 0.0), None)
     return np.array([
         mle if mle is not None and mle // width < i // width and strength == 0.0
@@ -250,25 +249,21 @@ def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
 def _block_task(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     """The (3, replications, cells) losses, plain MSE and absorbing MSE of
     replications ``reps``, planned as one block."""
-    out = []  # filled by the block's first replication
-    for rep in reps:
-        _replication_metrics(ctx, rep, block=(reps, out))
-    return out[0]
+    return [_replication_metrics(ctx, rep, block=reps) for rep in reps][0]
 
 
-def _replication_metrics(ctx: _ReplicationContext, rep: int, *, block: tuple[range, list]
-                         ) -> None:
-    """The block's first replication plans the block into its list. A shim for
-    perfbench's tracer, which times one call of this per replication: fold it
-    into _block_task when the benchmark reads the run's own numbers."""
-    reps, out = block
-    if rep == reps.start:
-        out.append(_block_metrics(ctx, reps))
+def _replication_metrics(ctx: _ReplicationContext, rep: int, *, block: range
+                         ) -> np.ndarray | None:
+    """The block's array from its first replication, which plans the whole
+    block; None from the others. A shim for perfbench's tracer, which times one
+    call of this per replication: fold it into _block_task when the benchmark
+    reads the run's own numbers."""
+    return _block_metrics(ctx, block) if rep == block.start else None
 
 
 def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     """Replications ``reps``: data -> stacked estimate -> waves of the block's
-    cells -> one true-MDP scoring. A failure raises a ReplicationError naming
+    cells -> true-MDP scoring. A failure raises a ReplicationError naming
     the replication it belongs to, or the block's first for a whole-block step."""
     mdp, cells = ctx.mdp, ctx.cells
     n, n_actions = mdp.n_states, mdp.n_actions
@@ -285,20 +280,18 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
         counts = CountsTensor(c, reward_sum, c.sum(axis=-1))
         est = mle_model(counts)
 
-        # a replication's policy per cell, then in the last column the MLE
-        # model's greedy policy under the true optimal values: -1 in ctx.starts
-        policies = np.empty((len(reps), len(cells) + 1, n), dtype=np.int64)
-        mle = PlanningProblem(est.t_hat, est.r_hat, mdp.gamma)
-        policies[:, -1] = q_from_values(mle, ctx.v_opt).argmax(axis=-1)
+        policies = np.empty((len(reps), len(cells), n), dtype=np.int64)
         metrics = np.empty((3, len(reps), len(cells)))
         loss, mse_plain, mse_abs = metrics
         for start in range(0, len(cells), ctx.width):
             wave = slice(start, min(start + ctx.width, len(cells)))
             methods, strengths = zip(*cells[wave])
             reg = regularize(est, counts, methods, strengths, mdp.gamma)
+            problem = PlanningProblem.from_regularized(reg)
+            initial = (q_from_values(problem, ctx.v_opt).argmax(axis=-1) if start == 0
+                       else policies[:, ctx.starts[wave]])
             try:
-                policy = policy_iteration(PlanningProblem.from_regularized(reg),
-                                          initial_policy=policies[:, ctx.starts[wave]])[0]
+                policy = policy_iteration(problem, initial_policy=initial)[0]
             except PolicyIterationError as exc:
                 # flat problem i is replication i // w, cell i % w of the wave
                 stuck = [divmod(i, len(methods)) for i in exc.problems]
@@ -310,16 +303,20 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
             mse = transition_mse(mdp.transition, reg)
             mse_plain[:, wave] = mse.mse_plain
             mse_abs[:, wave] = mse.mse_absorbing
-            del reg  # before the next wave's stack is made: two would double the peak
+            del reg, problem  # before the next wave's stack is made: two would double the peak
 
-        # evaluate each distinct policy of the block once in the true MDP. Keying
-        # rows by their bytes is several times faster than np.unique(axis=0), and
-        # one np.dot per policy keeps bits that gaps @ start_dist would move
-        chosen = policies[:, :-1].reshape(-1, n)
+        # evaluate each distinct policy of the block once in the true MDP, in
+        # solves that gather at most _BLOCK_BYTES of T_pi. Keying rows by bytes
+        # beats np.unique(axis=0) severalfold; one np.dot per policy keeps bits
+        # that gaps @ start_dist would move
+        chosen = policies.reshape(-1, n)
         first = {}  # a policy's bytes -> the first (replication, cell) row that chose it
         owner = [first.setdefault(p.tobytes(), i) for i, p in enumerate(chosen)]
-        v_reg = policy_evaluation(ctx.true_problem, chosen[list(first.values())])
-        gap = {i: np.dot(ctx.start_dist, ctx.v_opt - v) for i, v in zip(first.values(), v_reg)}
+        rows = list(first.values())
+        step = max(1, _BLOCK_BYTES // mdp.transition[0].nbytes)
+        v_reg = np.concatenate([policy_evaluation(ctx.true_problem, chosen[rows[i:i + step]])
+                                for i in range(0, len(rows), step)])
+        gap = {i: np.dot(ctx.start_dist, ctx.v_opt - v) for i, v in zip(rows, v_reg)}
         loss.flat = [gap[i] for i in owner]
         return metrics
     except Exception as exc:

@@ -193,14 +193,14 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     # width 1 warm-starts each cell from the previous cell; width 2 warm-starts
     # both cells of a wave from the previous wave's last policy, so waves cross
     # method boundaries and methods share one warm start; one wave per sweep
-    # starts every cell from the MLE model's greedy policy under the true
-    # values, as wave 0 of every width does. A strength-0 cell after an earlier
-    # wave's first one starts from its policy. Blocks of 1, 3 or all
-    # replications stack the replications' waves, each replication with its
-    # own warm starts, serially
-    # and in a pool of tasks of 3 replications. All must give the same bits,
-    # also on near-ties: copied actions, eps_greedy near 1, and data that leave
-    # most pairs unvisited (p_optimal = 1, few short trajectories)
+    # starts every cell from its own greedy policy under the true values, as
+    # wave 0 of every width does. A strength-0 cell after an earlier wave's
+    # first one starts from its policy. Blocks of 1, 3 or all replications
+    # stack the replications' waves, each replication with its own warm
+    # starts, serially and in a pool of tasks of 3 replications. All must give
+    # the same bits, also on near-ties: copied actions, eps_greedy near 1, and
+    # data that leave most pairs unvisited (p_optimal = 1, few short
+    # trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
     replications = 6  # 3 per pool task on 2 workers with one task per worker
     cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,

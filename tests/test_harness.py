@@ -343,8 +343,8 @@ class TestFailureHandling:
             harness._block_task(ctx, range(3, 6))
 
     def test_a_scoring_failure_names_the_blocks_first_replication(self, monkeypatch):
-        # one true-MDP solve scores the whole block; no real run fails there,
-        # as the true MDP's I - gamma * T_pi is nonsingular
+        # on grid one true-MDP solve scores the whole block; no real run fails
+        # there, as the true MDP's I - gamma * T_pi is nonsingular
         cfg = tiny_config()
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         calls = []
@@ -470,14 +470,17 @@ class TestWaves:
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
     # of the true-MDP evaluations, over replications 0-2 at seed 1729 planned
     # as one block; one replication at a time made 101, 8 and 13 planning
-    # calls for the same LU matrices. The block scores all its policies in one
-    # call, so a policy two replications chose is solved once: scored one
-    # replication at a time, grid-optimal took 3 calls and 6 LU matrices
+    # calls for the same LU matrices. Wave 0 starts from each problem's own
+    # lookahead: from the MLE model's, the block took 268, 310, 401, 235 and
+    # 318 LU matrices. The block scores its policies in solves of at most
+    # _BLOCK_BYTES, so a policy two replications chose is solved once: scored
+    # one replication at a time, grid-optimal took 3 calls and 6 LU matrices
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (39, 268), (1, 61)),
-        ("grid-random", (3, 310), (1, 13)),
-        ("twogoals-mixed", (5, 401), (1, 34)),
-        ("grid-optimal", (2, 235), (1, 4)),
+        ("cliff-random", (39, 267), (2, 61)),
+        ("grid-random", (3, 264), (1, 13)),
+        ("twogoals-mixed", (5, 349), (1, 34)),
+        ("grid-optimal", (2, 182), (1, 4)),
+        ("twogoals-optimal", (2, 184), (1, 2)),
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
@@ -486,7 +489,7 @@ class TestWaves:
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         # replications per block, sized by the bytes of a wave's stack
         assert ctx.block_size == {"cliff-random": 4, "grid-random": 8, "twogoals-mixed": 5,
-                                  "grid-optimal": 8}[preset]
+                                  "grid-optimal": 8, "twogoals-optimal": 5}[preset]
         work = {"planning": [0, 0], "true": [0, 0]}
 
         def counting(real, key):
@@ -503,6 +506,21 @@ class TestWaves:
                             counting(harness.policy_evaluation, "true"))
         harness._block_task(ctx, range(3))
         assert (tuple(work["planning"]), tuple(work["true"])) == (planning_work, true_work)
+
+    def test_scoring_gathers_at_most_block_bytes(self, monkeypatch):
+        # a cliff block of 4 chooses some 100 distinct policies; one solve of
+        # them all would gather 2 MB of 48 x 48 T_pi matrices
+        cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        sizes, evaluate = [], harness.policy_evaluation
+        monkeypatch.setattr(harness, "policy_evaluation",
+                            lambda problem, policy: sizes.append(len(policy))
+                            or evaluate(problem, policy))
+        block = harness._block_task(ctx, range(4))
+        assert len(sizes) > 1 and max(sizes) <= harness._BLOCK_BYTES // (48 * 48 * 8)
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 ** 60)  # one solve per block
+        np.testing.assert_array_equal(harness._block_task(ctx, range(4)), block)
+        assert sizes[-1] == sum(sizes[:-1])
 
     def test_every_problem_starts_from_the_nearest_solved_one(self, monkeypatch):
         # cliff plans 3 cells per wave: dirichlet 0-1000 are cells 0-10,
@@ -527,13 +545,16 @@ class TestWaves:
         harness._block_task(ctx, reps)
         assert len(waves) == 18 and ctx.cells[11] == ("discount", 0.0) \
             and ctx.cells[32] == ("eps_greedy", 0.0)
-        # wave 0 starts from the MLE model's greedy policy under the true values
+        # each problem of wave 0 starts from its own greedy policy under the true values
         for rep, initial in zip(reps, waves[0][0]):
             data = generate_dataset(mdp, ctx.pi_opt, cfg.collection,
                                     child_seed(cfg.master_seed, rep))
-            est = mle_model(count(data, mdp.n_states, mdp.n_actions))
-            q = q_from_values(PlanningProblem(est.t_hat, est.r_hat, mdp.gamma), ctx.v_opt)
-            assert (initial == q.argmax(axis=-1)).all(), rep
+            counts = count(data, mdp.n_states, mdp.n_actions)
+            est = mle_model(counts)
+            for cell, (method, strength) in enumerate(ctx.cells[:3]):
+                reg = regularize(est, counts, method, strength, mdp.gamma)
+                q = q_from_values(PlanningProblem.from_regularized(reg), ctx.v_opt)
+                np.testing.assert_array_equal(initial[cell], q.argmax(axis=-1), (rep, cell))
         dirichlet_0 = waves[0][1][:, 0]
         for j, (initial, _, solved) in enumerate(waves[1:], start=1):
             # the previous wave's last policy starts each cell of a later wave
@@ -551,7 +572,7 @@ class TestWaves:
         # per-cell reference: regularize, plan warm-started from the method's
         # previous cell, evaluate in the true MDP; the waves of a block of three
         # replications give the same bits (on grid all cells share one wave and
-        # start from the MLE model's lookahead under the true values)
+        # each starts from its own problem's lookahead under the true values)
         cfg = tiny_config(methods=("eps_greedy", "none", "dirichlet", "discount"),
                           collection=CollectionConfig(3, 6, 0.0, StartMode.fixed(0)))
         mdp = resolve_mdp(cfg)
