@@ -14,7 +14,6 @@ from functools import cache
 import numpy as np
 
 from .mdp import TIE_TOL, TabularMdp, check_policy
-from .regularizers import RegularizedModel
 
 _MAX_SWEEPS = 10_000
 # an action must beat the incumbent by more than this times the problem's
@@ -73,10 +72,6 @@ class PlanningProblem:
     def from_mdp(cls, mdp: TabularMdp) -> "PlanningProblem":
         return cls(mdp.transition, mdp.reward_mean, mdp.gamma)
 
-    @classmethod
-    def from_regularized(cls, reg: RegularizedModel) -> "PlanningProblem":
-        return cls(reg.t_reg, reg.r_hat, reg.gamma)
-
 
 @cache
 def _cells(batch: tuple[int, ...]) -> tuple[np.ndarray, ...]:
@@ -88,18 +83,21 @@ def policy_evaluation(problem: PlanningProblem, policy: np.ndarray,
                       problems: np.ndarray | None = None) -> np.ndarray:
     """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
     (..., n_states) broadcast against the problem's batch axes: one problem
-    under many policies, or one per stacked problem. ``problems``, indices into
-    a (k,) stack, solves only those, one policy (k', n_states) each, and gathers
-    no row of the others, and leaves the policies unchecked."""
-    n = problem.n_states
+    under many policies, or one per stacked problem. ``problems``, flat indices
+    into the problem's stack, solves only those, one policy (k', n_states) each,
+    gathers no row of the others and leaves the policies unchecked."""
+    t, r, n = problem.t, problem.r, problem.n_states
     if problems is None:
         policy = check_policy(policy, problem.n_actions)
         if policy.shape[-1:] != (n,):
             raise ValueError(f"policy must be (..., {n}) for {n} states, got shape {policy.shape}")
+        cells = _cells(t.shape[:-3])
+    else:  # the stack as a view of (k,) problems
+        t, r = t.reshape((-1,) + t.shape[-3:]), r.reshape((-1,) + r.shape[-2:])
+        cells = (problems[:, None],)
     idx = np.arange(n)
-    cells = _cells(problem.t.shape[:-3]) if problems is None else (problems[:, None],)
-    t_pi = problem.t[cells + (policy, idx)]
-    r_pi = problem.r[cells + (idx, policy)]
+    t_pi = t[cells + (policy, idx)]
+    r_pi = r[cells + (idx, policy)]
     # I - gamma * T_pi in the gathered copy; 1 + (-x) on the diagonal has 1 - x's bits
     system = np.multiply(-problem.gamma, t_pi, out=t_pi)
     system.reshape(system.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
@@ -151,19 +149,17 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
     # checked once, here; a ValueError unless it broadcasts
     policy[...] = check_policy(0 if initial_policy is None else initial_policy, n_actions,
                                "initial_policy")
-    # the stack as a view of (k,) problems, left unchecked; a sweep solves the
-    # active ones and takes the lookahead of all, stale values and all, so that
-    # no problem's matrices are copied
-    policy, flat = policy.reshape(-1, n), object.__new__(PlanningProblem)
-    vars(flat).update(t=problem.t.reshape(-1, n_actions, n, n),
-                      r=problem.r.reshape(-1, n, n_actions), gamma=problem.gamma)
+    # a sweep solves the active problems by flat index and takes the lookahead
+    # of all, stale values and all, so that no problem's matrices are copied
+    policy = policy.reshape(-1, n)
     active, states = np.arange(len(policy)), np.arange(n)
     v, q_final = np.empty((len(active), n)), np.empty((len(active), n_actions, n))
     for _ in range(_MAX_SWEEPS if active.size else 0):  # an empty stack takes no sweep
         current = policy[active]
-        v[active] = policy_evaluation(flat, current, active)
+        v[active] = policy_evaluation(problem, current, active)
         # (k, a, s): reductions over actions run along contiguous states
-        q = q_from_values(flat, v).swapaxes(1, 2)[active]
+        q = q_from_values(problem, v.reshape(batch + (n,))).swapaxes(-1, -2).reshape(
+            -1, n_actions, n)[active]
         slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
         kept = q[_cells(active.shape) + (current, states)] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))

@@ -128,7 +128,7 @@ def check_discount_equiv(n_mdps: int = 200, seed: int = 20_002):
         for eps in eps_values:
             total += 1
             reg = regularize(est, None, "discount", eps, mdp.gamma)
-            pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg))
+            pi_a, q_a = policy_iteration(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
             lowered = PlanningProblem(est.t_hat, est.r_hat, (1.0 - eps) * mdp.gamma)
             pi_b, q_b = policy_iteration(lowered)
             if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
@@ -175,8 +175,9 @@ def check_implied_prior_equiv(n_instances: int = 100, seed: int = 20_004):
         alpha_i = implied_prior_magnitude(gamma, gamma_l, total, n)
         reg_disc = regularize(est, None, "discount", eps, gamma)
         reg_dir = regularize(est, counts, "dirichlet", n * alpha_i, gamma)
-        pi_a, q_a = policy_iteration(PlanningProblem.from_regularized(reg_disc))
-        pi_b, q_b = policy_iteration(PlanningProblem.from_regularized(reg_dir))
+        pi_a, q_a = policy_iteration(
+            PlanningProblem(reg_disc.t_reg, reg_disc.r_hat, reg_disc.gamma))
+        pi_b, q_b = policy_iteration(PlanningProblem(reg_dir.t_reg, reg_dir.r_hat, reg_dir.gamma))
         if not _policies_agree_tie_free(pi_a, q_a, pi_b, q_b):
             failures += 1
     return failures == 0, f"{n_instances - failures}/{n_instances} policy matches"
@@ -193,7 +194,7 @@ def check_eps_greedy_equiv(n_mdps: int = 100, seed: int = 20_005):
         est = _estimated_from_mdp(mdp)
         for eps in (0.25, 0.5):
             reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
-            pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
+            pi_hat, _ = policy_iteration(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
             v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean,
                                           mdp.gamma, pi_hat, eps)
             v_best = np.full(n, -np.inf)

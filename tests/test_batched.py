@@ -86,7 +86,7 @@ def test_an_empty_stack_plans_to_empty_arrays():
     # returns empty arrays at once, with no sweep
     counts = random_counts(0, 3, 2, unvisited=0.3)
     reg = regularize(mle_model(counts), counts, [], [], 0.9)
-    policy, q, sweeps = count_sweeps(PlanningProblem.from_regularized(reg))
+    policy, q, sweeps = count_sweeps(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
     assert (policy.shape, q.shape, sweeps) == ((0, 3), (0, 3, 2), 0)
     assert transition_mse(np.full((2, 3, 3), 1 / 3), reg).mse_absorbing.shape == (0,)
 
@@ -102,7 +102,7 @@ def test_eps_greedy_at_full_blend_converges_in_two_sweeps(seed, n, n_actions, ga
     model = mle_model(counts)
     reg = regularize(model, counts, ["eps_greedy"] * 3, [1.0] * 3, gamma)
     init = np.random.default_rng(seed).integers(0, n_actions, (3, n)) if warm else None
-    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg),
+    policy, _, sweeps = count_sweeps(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma),
                                      initial_policy=init)
     assert sweeps <= 2
     best = (model.r_hat >= model.r_hat.max(axis=1, keepdims=True) - 1e-6).argmax(axis=1)
@@ -119,7 +119,7 @@ def test_all_unvisited_counts_converge_in_one_sweep(n, n_actions, cells, seed):
     methods, strengths = zip(*cells)
     reg = regularize(mle_model(counts), counts, methods, strengths, 0.95)
     init = np.random.default_rng(seed).integers(0, n_actions, (len(cells), n))
-    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg),
+    policy, _, sweeps = count_sweeps(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma),
                                      initial_policy=init)
     assert sweeps == 1
     np.testing.assert_array_equal(policy, 0)
@@ -137,7 +137,7 @@ def test_round_off_ties_do_not_cycle():
     reward_sum = np.array([[1.0, 1.0, 0.0, 0.5], [1.0, 0.0, 0.0, 0.0]]) * visits
     counts = CountsTensor(c, reward_sum, visits)
     reg = regularize(mle_model(counts), counts, "dirichlet", 1e-9, 0.9)
-    policy, _, sweeps = count_sweeps(PlanningProblem.from_regularized(reg))
+    policy, _, sweeps = count_sweeps(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
     assert sweeps <= 2
     np.testing.assert_array_equal(policy, [0, 0])
 

@@ -13,7 +13,8 @@ change to the sampled data or the metrics, and say so in the change log.
 ``presets.sha256`` pins all 15 presets: one ``<preset> <sha256 of its CSV>``
 line each, for ``emit_csv`` of the preset at seed 1729, 5 replications and
 ``workers=1``. It was written before the waves were sized by bytes, so it
-also pins that the wave layout does not move a byte.
+also pins that the wave layout does not move a byte; checked again at
+``workers=2``, it pins the pool's blocks of one worker's share of the run.
 """
 
 import hashlib
@@ -35,14 +36,16 @@ def test_csv_bytes_match_golden(preset, tmp_path):
     assert out.read_bytes() == (GOLDEN / f"{preset}.csv").read_bytes()
 
 
-def test_every_preset_matches_its_digest(tmp_path):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_every_preset_matches_its_digest(workers, tmp_path):
     want = dict(line.split() for line in (GOLDEN / "presets.sha256").read_text().splitlines())
     presets = builtin_presets()
     assert sorted(want) == sorted(presets)
     differ = []
     for name, cfg in presets.items():
         out = tmp_path / f"{name}.csv"
-        emit_csv(run_experiment(override(cfg, master_seed=1729, replications=5, workers=1)), out)
+        emit_csv(run_experiment(override(cfg, master_seed=1729, replications=5,
+                                        workers=workers)), out)
         if hashlib.sha256(out.read_bytes()).hexdigest() != want[name]:
             differ.append(name)
     assert differ == [], f"presets whose CSV bytes changed: {differ}"

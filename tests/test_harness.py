@@ -481,6 +481,9 @@ class TestWaves:
         ("twogoals-mixed", (5, 349), (1, 34)),
         ("grid-optimal", (2, 182), (1, 4)),
         ("twogoals-optimal", (2, 184), (1, 2)),
+        ("cliff-mixed", (39, 266), (2, 61)),
+        ("cliff-start-s", (33, 227), (1, 32)),
+        ("cliff-optimal", (20, 177), (1, 1)),
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
@@ -488,7 +491,8 @@ class TestWaves:
         cfg = replace(builtin_presets()[preset], master_seed=1729)
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         # replications per block, sized by the bytes of a wave's stack
-        assert ctx.block_size == {"cliff-random": 4, "grid-random": 8, "twogoals-mixed": 5,
+        assert ctx.block_size == {"cliff-random": 4, "cliff-mixed": 4, "cliff-start-s": 4,
+                                  "cliff-optimal": 4, "grid-random": 8, "twogoals-mixed": 5,
                                   "grid-optimal": 8, "twogoals-optimal": 5}[preset]
         work = {"planning": [0, 0], "true": [0, 0]}
 
@@ -553,7 +557,7 @@ class TestWaves:
             est = mle_model(counts)
             for cell, (method, strength) in enumerate(ctx.cells[:3]):
                 reg = regularize(est, counts, method, strength, mdp.gamma)
-                q = q_from_values(PlanningProblem.from_regularized(reg), ctx.v_opt)
+                q = q_from_values(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma), ctx.v_opt)
                 np.testing.assert_array_equal(initial[cell], q.argmax(axis=-1), (rep, cell))
         dirichlet_0 = waves[0][1][:, 0]
         for j, (initial, _, solved) in enumerate(waves[1:], start=1):
@@ -588,7 +592,7 @@ class TestWaves:
             warm = {}
             for i, (method, strength) in enumerate(cells):
                 reg = regularize(est, counts, method, strength, mdp.gamma)
-                policy, _ = policy_iteration(PlanningProblem.from_regularized(reg),
+                policy, _ = policy_iteration(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma),
                                              initial_policy=warm.get(method))
                 warm[method] = policy
                 v = policy_evaluation(true_problem, policy)

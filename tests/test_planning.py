@@ -251,7 +251,7 @@ class TestEpsGreedyPlanning:
             mdp = random_mdp(rng, n, 2, state_rewards=True)
             est = EstimatedModel(mdp.transition.copy(), mdp.reward_mean.copy())
             reg = regularize(est, None, "eps_greedy", eps, mdp.gamma)
-            pi_hat, _ = policy_iteration(PlanningProblem.from_regularized(reg))
+            pi_hat, _ = policy_iteration(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
             v_hat = eps_greedy_evaluation(mdp.transition, mdp.reward_mean, mdp.gamma,
                                           pi_hat, eps)
             best = np.full(n, -np.inf)

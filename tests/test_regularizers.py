@@ -126,7 +126,7 @@ class TestDiscountBlend:
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
         reg = regularize(model, None, "discount", 0.0, GAMMA)
         np.testing.assert_array_equal(reg.t_reg, model.t_hat)
-        assert PlanningProblem.from_regularized(reg).gamma == GAMMA
+        assert PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma).gamma == GAMMA
 
     def test_full_blend_is_zero_matrix(self):
         model = model_from_rows([[0.4, 0.6], [1.0, 0.0]])
@@ -139,7 +139,7 @@ class TestDiscountBlend:
         np.testing.assert_allclose(reg.t_reg[0, 0], [0.3, 0.45], atol=1e-15)
         np.testing.assert_allclose(reg.t_reg.sum(axis=2), 0.75, atol=1e-15)
         # planned at the true gamma; the rows carry the lowered discount 0.75 * gamma
-        assert PlanningProblem.from_regularized(reg).gamma == GAMMA
+        assert PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma).gamma == GAMMA
 
     def test_out_of_range_eps_rejected(self):
         model = model_from_rows([[1.0, 0.0], [0.0, 1.0]])
@@ -196,7 +196,7 @@ class TestConversions:
         mdp = random_mdp(np.random.default_rng(3), 4, 2, gamma=0.9)
         est = EstimatedModel(mdp.transition, mdp.reward_mean)
         reg = regularize(est, None, "discount", eps, mdp.gamma)
-        _, q_blend = policy_iteration(PlanningProblem.from_regularized(reg))
+        _, q_blend = policy_iteration(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma))
         lowered = PlanningProblem(est.t_hat, est.r_hat, (1 - eps) * mdp.gamma)
         np.testing.assert_allclose(q_blend, policy_iteration(lowered)[1], rtol=0, atol=1e-12)
 
