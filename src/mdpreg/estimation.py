@@ -20,7 +20,7 @@ UNVISITED_REWARD = 0.50
 class CountsTensor:
     """Transition counts and reward sums, the sufficient statistics, with
     leading batch axes ``...``: one dataset's for the empty batch shape, or a
-    stack of datasets' (a harness block holds one per replication)."""
+    stack of datasets'."""
 
     c: np.ndarray            # (..., n_states, n_actions, n_states) int64
     reward_sum: np.ndarray   # (..., n_states, n_actions)

@@ -1,21 +1,23 @@
 """Monte-Carlo experiment engine: sweeps across methods, strengths, and seeds.
 
-Replications run in blocks of consecutive indices. Each replication of a block
-draws a dataset and counts it into a stacked (R, ...) array, and one
-``mle_model`` call fits the R models. The block then plans its (method,
+Replications run in blocks of consecutive indices, replication-major: a
+block is at most one worker's share of the run and at most _BLOCK_BYTES of one
+cell's matrices (28 cliff replications), and a run is split into blocks of
+equal sizes within one, the larger first (_blocks). Each replication of a
+block draws a dataset, counts it and fits its MLE model into the block's
+(R, A, N, N) stack; only its (R, N, A) visit counts, which the Dirichlet
+blend reads, stay beside the stack. The block then plans its (method,
 strength) cells in waves: contiguous slices of the cells in output order, as
-many per wave as keep one replication's stack of blended matrices within
-_WAVE_BYTES. So cliff plans three cells per wave (18 waves) and grid or two
-goals all 53 cells in one wave. Wave j of every replication of the block is one
-``regularize``, one ``policy_iteration`` over the R * w problems and one
-``transition_mse``; true-MDP ``policy_evaluation`` calls, each gathering at
-most _BLOCK_BYTES, then score every distinct policy of the block into one
-(3, R, cells) array. Wave 0's problems start from their own greedy policies
-under the true optimal values, a later problem from the nearest one its
-replication has solved (_starts). A block holds as many replications as keep a
-wave's stack within _BLOCK_BYTES (cliff 4, two goals 5, grid 8), but no more
-than one worker's share of the run, and a pool task holds whole blocks. Rows
-aggregate mean and standard error across replications.
+many per wave as keep the block's stack of blended matrices within
+_WAVE_BYTES. So a cliff block of 20 plans one cell per wave (53 waves), and a
+block of 4 three. Wave j of the block is one ``regularize``, one
+``policy_iteration`` over the R * w problems and one ``transition_mse``;
+true-MDP ``policy_evaluation`` calls, each gathering at most _WAVE_BYTES, then
+score every distinct policy of the block into one (3, R, cells) array. Wave
+0's problems start from their own greedy policies under the true optimal
+values, a later problem from the nearest one its replication has solved
+(_starts): with one cell per wave, the cell before it. A pool task holds
+whole blocks. Rows aggregate mean and standard error across replications.
 Replication r always uses child_seed(master_seed, r), each planning problem
 takes the sweeps it would take alone, and aggregation always sums in
 replication order, so results are bit-identical for any worker count and
@@ -40,7 +42,7 @@ from .data import (INTEGER, CollectionConfig, ConfigError, StartMode, check, che
 from .environments import (CLIFF_START, build_cliff_walk, build_interconnected_grid,
                            build_two_goals, cliff_near_goal_states, load_mdp_spec,
                            read_json_object)
-from .estimation import CountsTensor, count, mle_model
+from .estimation import EstimatedModel, count, mle_model
 from .evaluation import transition_mse
 from .mdp import TabularMdp, is_real
 from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
@@ -53,13 +55,14 @@ DEFAULT_REPLICATIONS = 5000
 DEFAULT_EPS_GRID = tuple(i / 20 for i in range(21))
 DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 
-# bytes of blended matrices one wave may stack: three cliff cells (74 KB each),
-# or a whole grid or two-goals sweep (53 x 2.4-3.5 KB)
-_WAVE_BYTES = 1 << 18
-# bytes of blended matrices a block's wave may stack: four cliff replications,
-# five of two goals, eight of grid. Outputs do not depend on it, so it is
-# neither a config field nor hashed; it bounds the block's memory
-_BLOCK_BYTES = 1 << 20
+# bytes of one cell's matrices over a block's replications: 28 cliff
+# replications (74 KB each), 606 of two goals (3.5 KB), 873 of grid (2.4 KB)
+_BLOCK_BYTES = 1 << 21
+# bytes of blended matrices a block's wave may stack, and of T_pi matrices a
+# true-MDP solve may gather: one cliff cell for a block of 20, three for a
+# block of 4. Outputs depend on neither, so they are neither config fields nor
+# hashed; they bound a block's memory
+_WAVE_BYTES = 1 << 20
 # pool tasks per worker: each task of a pooled run of n replications holds as
 # many whole blocks as fit in n // (workers * _TASKS_PER_WORKER) of them (at
 # least one block)
@@ -205,9 +208,6 @@ class _ReplicationContext:
     v_opt: np.ndarray
     start_dist: np.ndarray
     cells: tuple[tuple[str, float], ...]
-    width: int  # cells per wave
-    block_size: int  # replications per block: as many as keep a wave's stack in _BLOCK_BYTES
-    starts: np.ndarray  # cell i's policy iteration starts from cell starts[i]'s policy
     collection: CollectionConfig
     master_seed: int
 
@@ -216,18 +216,13 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
     """What every replication of ``cfg`` on ``mdp`` shares, the true optimum included."""
     true_problem = PlanningProblem.from_mdp(mdp)
     pi_opt, _ = policy_iteration(true_problem)
-    cells = tuple(sweep_cells(cfg))
-    width = min(len(cells), max(1, _WAVE_BYTES // mdp.transition.nbytes))
     return _ReplicationContext(
         mdp=mdp,
         true_problem=true_problem,
         pi_opt=pi_opt,
         v_opt=policy_evaluation(true_problem, pi_opt),
         start_dist=cfg.collection.start_mode.distribution(mdp.n_states),
-        cells=cells,
-        width=width,
-        block_size=max(1, _BLOCK_BYTES // (width * mdp.transition.nbytes)),
-        starts=_starts(cells, width),
+        cells=tuple(sweep_cells(cfg)),
         collection=cfg.collection,
         master_seed=cfg.master_seed,
     )
@@ -244,6 +239,18 @@ def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
         mle if mle is not None and mle // width < i // width and strength == 0.0
         else i // width * width - 1  # the previous wave's last cell; -1 in wave 0
         for i, (_, strength) in enumerate(cells)], dtype=np.int64)
+
+
+def _blocks(n: int, workers: int, cell_bytes: int) -> list[range]:
+    """Replications 0..n-1 in blocks of consecutive indices: as few blocks as
+    hold at most one worker's share of the run, ceil(n / workers), and at most
+    _BLOCK_BYTES of one cell's matrices each, of equal sizes within one, the
+    larger first."""
+    size = min(-(-n // workers), max(1, _BLOCK_BYTES // cell_bytes))
+    n_blocks = -(-n // size)
+    small, larger = divmod(n, n_blocks)  # the first `larger` blocks hold small + 1
+    bounds = [i * small + min(i, larger) for i in range(n_blocks + 1)]
+    return [range(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
 def _block_task(ctx: _ReplicationContext, reps: range) -> np.ndarray:
@@ -267,29 +274,34 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     the replication it belongs to, or the block's first for a whole-block step."""
     mdp, cells = ctx.mdp, ctx.cells
     n, n_actions = mdp.n_states, mdp.n_actions
-    c = np.empty((len(reps), n, n_actions, n), dtype=np.int64)
-    reward_sum = np.empty((len(reps), n, n_actions))
+    width = min(len(cells), max(1, _WAVE_BYTES // (len(reps) * mdp.transition.nbytes)))
+    starts = _starts(cells, width)
+    t_hat = np.empty((len(reps), n_actions, n, n))
+    r_hat = np.empty((len(reps), n, n_actions))
+    visits = np.empty((len(reps), n, n_actions), dtype=np.int64)  # all dirichlet reads
     culprit = reps.start  # the replication a failure names
     try:
         for i, culprit in enumerate(reps):
-            one = count(generate_dataset(mdp, ctx.pi_opt, ctx.collection,
-                                         child_seed(ctx.master_seed, culprit)), n, n_actions)
-            c[i], reward_sum[i] = one.c, one.reward_sum
-        del one  # the stack holds its counts: keep no replication's data beside it
+            counts = count(generate_dataset(mdp, ctx.pi_opt, ctx.collection,
+                                            child_seed(ctx.master_seed, culprit)), n, n_actions)
+            one = mle_model(counts)
+            t_hat[i], r_hat[i], visits[i] = one.t_hat, one.r_hat, counts.visit_count
+        del counts, one  # the stacks hold the block's data: keep no replication's beside them
         culprit = reps.start
-        counts = CountsTensor(c, reward_sum, c.sum(axis=-1))
-        est = mle_model(counts)
+        est = EstimatedModel(t_hat, r_hat)
 
-        policies = np.empty((len(reps), len(cells), n), dtype=np.int64)
+        # the smallest integers that hold an action: a cliff block of 20 keeps
+        # 51 KB of policies, not 407 KB, and np.unique sorts fewer bytes
+        policies = np.empty((len(reps), len(cells), n), dtype=np.min_scalar_type(n_actions - 1))
         metrics = np.empty((3, len(reps), len(cells)))
         loss, mse_plain, mse_abs = metrics
-        for start in range(0, len(cells), ctx.width):
-            wave = slice(start, min(start + ctx.width, len(cells)))
+        for start in range(0, len(cells), width):
+            wave = slice(start, min(start + width, len(cells)))
             methods, strengths = zip(*cells[wave])
-            reg = regularize(est, counts, methods, strengths, mdp.gamma)
+            reg = regularize(est, visits, methods, strengths, mdp.gamma)
             problem = PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma)
             initial = (q_from_values(problem, ctx.v_opt).argmax(axis=-1) if start == 0
-                       else policies[:, ctx.starts[wave]])
+                       else policies[:, starts[wave]])
             try:
                 policy = policy_iteration(problem, initial_policy=initial)[0]
             except PolicyIterationError as exc:
@@ -304,15 +316,16 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
             mse_plain[:, wave] = mse.mse_plain
             mse_abs[:, wave] = mse.mse_absorbing
             del reg, problem  # before the next wave's stack is made: two would double the peak
+        del est, t_hat  # the scoring's T_pi slices take their place
 
         # evaluate each distinct policy of the block once in the true MDP, in
-        # solves that gather at most _BLOCK_BYTES of T_pi. Viewing each row as
+        # solves that gather at most _WAVE_BYTES of T_pi. Viewing each row as
         # one void scalar lets np.unique sort bytes, several times faster than
         # its axis=0; one np.dot per policy keeps bits that gaps @ start_dist would move
         chosen = policies.reshape(-1, n)
         _, rows, owner = np.unique(chosen.view(np.dtype((np.void, chosen.itemsize * n))).ravel(),
                                    return_index=True, return_inverse=True)
-        step = max(1, _BLOCK_BYTES // mdp.transition[0].nbytes)
+        step = max(1, _WAVE_BYTES // mdp.transition[0].nbytes)
         v_reg = np.concatenate([policy_evaluation(ctx.true_problem, chosen[rows[i:i + step]])
                                 for i in range(0, len(rows), step)])
         loss.flat = np.array([np.dot(ctx.start_dist, ctx.v_opt - v) for v in v_reg])[owner]
@@ -357,15 +370,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     n = cfg.replications
     # the pool forks all its processes at once: never more than can run or have work
     workers = min(cfg.workers, n, os.cpu_count() or 1)
-    # a block is at most one worker's share of the run, serial runs included
-    size = min(ctx.block_size, -(-n // workers))
-    blocks = [range(b, min(b + size, n)) for b in range(0, n, size)]
+    blocks = _blocks(n, workers, mdp.transition.nbytes)
     task = partial(_block_task, ctx)
     results = []  # one (3, replications, cells) array per block, in order
     if workers <= 1:
         results += map(task, blocks)
     else:
-        per_task = max(1, n // (workers * _TASKS_PER_WORKER) // size)  # whole blocks
+        per_task = max(1, n // (workers * _TASKS_PER_WORKER) // len(blocks[0]))  # whole blocks
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:
@@ -380,14 +391,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     reused = False
                     results.clear()
                     continue
-                # map yields blocks in replication order: the first missing starts this one
-                rep = len(results) * size
-                first = rep - rep % (per_task * size)
-                last = min(first + per_task * size, n) - 1
+                # map yields blocks in order: the first missing one starts this
+                # replication, in the task of per_task blocks that holds it
+                missing = len(results)
+                rep = blocks[missing].start
+                chunk = blocks[missing - missing % per_task:][:per_task]
                 raise ReplicationError(
                     f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
-                    f" chunk of replications {first}-{last}) was not received:"
-                    f" a worker process died ({exc})") from exc
+                    f" chunk of replications {chunk[0].start}-{chunk[-1].stop - 1}) was not"
+                    f" received: a worker process died ({exc})") from exc
             except BaseException:  # a failed replication or an interrupt
                 _drop_pool(cancel=True)
                 raise

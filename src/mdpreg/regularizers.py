@@ -73,14 +73,16 @@ def _blend_terms(visits: np.ndarray | None, action_mean: np.ndarray | None,
                      " strength 0 only")
 
 
-def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
+def regularize(model: EstimatedModel, counts: CountsTensor | np.ndarray | None, method,
                strength, gamma: float) -> RegularizedModel:
     """Blend one cell; or, given equal-length sequences of methods and
     strengths, a batch of cells stacked in order along the batch axes
     ``np.shape(method)``. ``strength`` is eps, or the uniform prior magnitude
-    of ``dirichlet``, the one method reading ``counts``. A model and counts
-    with leading batch axes blend every cell for each of their models: the
-    output batch is the model batch followed by the cell batch.
+    of ``dirichlet``, the one method reading ``counts``: the counts the model
+    was fitted from, or just their visit counts (..., n_states, n_actions),
+    which is all it reads. A model and counts with leading batch axes blend
+    every cell for each of their models: the output batch is the model batch
+    followed by the cell batch.
     """
     methods, strengths = np.asarray(method, dtype=str), np.asarray(strength, dtype=float)
     if methods.shape != strengths.shape:
@@ -91,7 +93,8 @@ def regularize(model: EstimatedModel, counts: CountsTensor | None, method,
                          " pair's visit count, and counts is None")
     t_hat = model.t_hat
     batch, matrices = t_hat.shape[:-3], t_hat.shape[-3:]
-    visits = counts.visit_count.swapaxes(-1, -2)[..., None] if "dirichlet" in names else None
+    visit_count = counts.visit_count if isinstance(counts, CountsTensor) else counts
+    visits = visit_count.swapaxes(-1, -2)[..., None] if "dirichlet" in names else None
     action_mean = t_hat.mean(axis=-3, keepdims=True) if "eps_greedy" in names else None
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
     t_reg = np.empty(batch + methods.shape + matrices)

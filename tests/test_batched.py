@@ -197,12 +197,13 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     # wave 0 of every width does. A strength-0 cell after an earlier wave's
     # first one starts from its policy. Blocks of 1, 3 or all replications
     # stack the replications' waves, each replication with its own warm
-    # starts, serially and in a pool of tasks of 3 replications. All must give
-    # the same bits, also on near-ties: copied actions, eps_greedy near 1, and
-    # data that leave most pairs unvisited (p_optimal = 1, few short
-    # trajectories)
+    # starts, serially and in a pool. 7 replications make uneven blocks (3, 2,
+    # 2 under a cap of 3; 4 and 3 for 2 workers' shares), and a smaller block
+    # of a run takes wider waves. All must give the same bits, also on
+    # near-ties: copied actions, eps_greedy near 1, and data that leave most
+    # pairs unvisited (p_optimal = 1, few short trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
-    replications = 6  # 3 per pool task on 2 workers with one task per worker
+    replications = 7
     cfg = ExperimentConfig(mdp="drawn", collection=CollectionConfig(*collection,
                                                                     StartMode.uniform()),
                            methods=tuple(methods), eps_grid=tuple(eps_grid),
@@ -210,12 +211,10 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
                            replications=replications)
     cells = len(harness.sweep_cells(cfg))
     cell = mdp.transition.nbytes  # as large as an MLE model's matrices
-    waves = {"one cell": (cell, cells), "two cells": (2 * cell, -(-cells // 2)),
-             "every cell": (1 << 60, 1)}
-    # (wave, replications per block, workers): each wave width and block size
-    # serially, and blocks of 1 and 3 in a pool, where 3 is also a whole task
-    runs = [("every cell", 1, 1), ("two cells", 3, 1), ("one cell", replications, 1),
-            ("every cell", 1, 2), ("one cell", 3, 2)]
+    # (cells per wave of a block of the cap's size, replications per block at
+    # most, workers), and the blocks a serial run plans under each cap
+    runs = [(cells, 1, 1), (2, 3, 1), (1, 7, 1), (cells, 1, 2), (1, 3, 2), (2, 7, 2)]
+    serial_blocks = {1: [1] * 7, 3: [3, 2, 2], 7: [7]}
     plans, blocks = [], []
     real_plan, real_block = harness.policy_iteration, harness._block_task
 
@@ -234,11 +233,9 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
             mock.patch.object(harness, "_TASKS_PER_WORKER", 1), \
             mock.patch.object(harness.os, "cpu_count", lambda: 2):
         for run in runs:
-            wave, block, workers = run
-            wave_bytes, n_waves = waves[wave]
-            with mock.patch.object(harness, "_WAVE_BYTES", wave_bytes), \
-                    mock.patch.object(harness, "_BLOCK_BYTES",
-                                      block * min(wave_bytes, cells * cell)):
+            width, cap, workers = run
+            with mock.patch.object(harness, "_WAVE_BYTES", width * cap * cell), \
+                    mock.patch.object(harness, "_BLOCK_BYTES", cap * cell):
                 if workers > 1:  # the pool pickles its task: count only serial runs
                     results[run] = run_experiment(replace(cfg, workers=workers))
                 else:
@@ -246,9 +243,11 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
                     with mock.patch.object(harness, "policy_iteration", plan), \
                             mock.patch.object(harness, "_block_task", block_task):
                         results[run] = run_experiment(cfg)
-                    assert [m.shape[1] for m in blocks] == [block] * (replications // block)
+                    sizes = [m.shape[1] for m in blocks]
+                    assert sizes == serial_blocks[cap]
                     # one stacked call per wave of a block, and one for the true MDP
-                    assert len(plans) == 1 + n_waves * replications // block
+                    assert len(plans) == 1 + sum(-(-cells // min(cells, width * cap // size))
+                                                 for size in sizes)
                     metrics[run] = np.concatenate(blocks, axis=1)
             path = Path(tmp) / "rows.csv"
             emit_csv(results[run], path)

@@ -15,9 +15,15 @@ line each, for ``emit_csv`` of the preset at seed 1729, 5 replications and
 ``workers=1``. It was written before the waves were sized by bytes, so it
 also pins that the wave layout does not move a byte; checked again at
 ``workers=2``, it pins the pool's blocks of one worker's share of the run.
+
+``paper_sweep.sha256`` holds, in the same form, the digests of the paper sweep
+itself, ``mdpreg sweep --replications 5000 --workers 2``, as recorded in
+BENCH_22.json. Tier-1 does not run that sweep: ``scripts/check_paper_sweep.py``
+does, from a CI job run on demand or on a schedule.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -49,3 +55,16 @@ def test_every_preset_matches_its_digest(workers, tmp_path):
         if hashlib.sha256(out.read_bytes()).hexdigest() != want[name]:
             differ.append(name)
     assert differ == [], f"presets whose CSV bytes changed: {differ}"
+
+
+def test_paper_sweep_digests_name_every_preset_in_sweep_order(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "check_paper_sweep", GOLDEN.parent.parent / "scripts" / "check_paper_sweep.py")
+    check = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(check)
+    lines = [line.split() for line in check.GOLDEN.read_text().splitlines()]
+    assert [name for name, _ in lines] == list(builtin_presets())
+    assert all(len(digest) == 64 for _, digest in lines)
+    # a missing CSV and one with other bytes both differ
+    (tmp_path / "grid-random.csv").write_text("method\n")
+    assert check.differing(tmp_path) == list(builtin_presets())

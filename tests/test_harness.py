@@ -3,6 +3,7 @@ import math
 import multiprocessing
 import os
 import signal
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
 
@@ -227,12 +228,16 @@ class TestDeterminism:
         assert made == ([] if pool is None else [[pool, chunk]])
 
     # harness.policy_iteration calls of 20 replications at seed 1729: one for
-    # the true MDP, then one per wave of each block (cliff plans 18 waves in
-    # blocks of 4, two goals one wave in blocks of 5, grid one in blocks of 8,
-    # 8 and 4). A pooled run in blocks of one would make 361, 21 and 21.
+    # the true MDP, then one per wave of each block. Serially a block holds the
+    # whole run: cliff plans 53 waves of one cell, two goals 4 and grid 3. On 2
+    # workers a block is one worker's share, 10: cliff plans 53 waves per block,
+    # two goals 2 and grid 2. Where the byte cap binds (7 replications here),
+    # the serial run and the pool plan the same blocks, 7, 7 and 6: cliff in 27
+    # waves of two cells each, two goals in 2 and grid in 1.
     @pytest.mark.parametrize("preset", ["cliff-random", "twogoals-random", "grid-random"])
     def test_pooled_runs_plan_in_the_serial_runs_blocks(self, monkeypatch, preset):
-        calls = {"cliff-random": 91, "twogoals-random": 5, "grid-random": 4}[preset]
+        calls = {"cliff-random": (54, 107, 82), "twogoals-random": (5, 5, 7),
+                 "grid-random": (4, 5, 4)}[preset]
         # in-process, so the wrapped policy_iteration counts the pool's calls too
         made = []
         real = harness.policy_iteration
@@ -242,10 +247,15 @@ class TestDeterminism:
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cfg = replace(builtin_presets()[preset], replications=20, master_seed=1729)
         serial = run_experiment(cfg)
-        assert len(made) == calls
+        assert len(made) == calls[0]
         made.clear()
         assert run_experiment(replace(cfg, workers=2)) == serial
-        assert len(made) == calls
+        assert len(made) == calls[1]
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 7 * resolve_mdp(cfg).transition.nbytes)
+        for workers in (1, 2):
+            made.clear()
+            assert run_experiment(replace(cfg, workers=workers)) == serial
+            assert len(made) == calls[2]
 
     def test_csv_bytes_reproduce(self, tmp_path):
         rows = run_experiment(tiny_config())
@@ -311,6 +321,46 @@ class TestFailureHandling:
         with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, chunk of"
                                                rf" replications 0-15\) was not received"):
             run_experiment(tiny_config(workers=2, replications=32))
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="pool workers see the patched harness only when forked")
+    def test_pool_worker_death_names_the_first_missing_block_of_uneven_blocks(self,
+                                                                               monkeypatch):
+        # 13 replications on 2 workers in blocks of at most 3: 3, 3, 3, 2, 2,
+        # two blocks per task (13 // 2 // 3), so the tasks are 0-5, 6-10 and
+        # 11-12. Replication 11's worker exits once the first four blocks have
+        # been received: the fifth block, 11-12, is the first missing one, and
+        # it is a task of its own
+        cfg = tiny_config(workers=2, replications=13)
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 3 * resolve_mdp(cfg).transition.nbytes)
+        monkeypatch.setattr(harness, "_TASKS_PER_WORKER", 1)
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
+        received = multiprocessing.Event()  # set in this process, seen by the forked workers
+        real = harness.generate_dataset
+        seed = child_seed(cfg.master_seed, 11)
+
+        def dying(mdp, optimal, collection, master_seed):
+            if master_seed == seed:
+                received.wait(60)
+                os._exit(1)
+            return real(mdp, optimal, collection, master_seed)
+
+        class SignallingPool(ProcessPoolExecutor):
+            def map(self, fn, items, chunksize):
+                assert [len(b) for b in items] == [3, 3, 3, 2, 2] and chunksize == 2
+                for i, result in enumerate(super().map(fn, items, chunksize=chunksize)):
+                    if i == 3:  # the run holds this result before it asks for the next
+                        received.set()
+                    yield result
+
+        harness._drop_pool()  # a reused pool would rerun the lost blocks once
+        monkeypatch.setattr(harness, "generate_dataset", dying)
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", SignallingPool)
+        with pytest.raises(harness.ReplicationError,
+                           match=rf"^replication 11 \(child seed {seed}, chunk of"
+                                 rf" replications 11-12\) was not received"):
+            run_experiment(cfg)
+        assert harness._pool is None
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
         # one block of all six replications plans grid's seven cells in one
@@ -448,52 +498,72 @@ class TestSharedPool:
 
 
 class TestWaves:
+    @pytest.mark.parametrize("n, workers, cell, blocks", [
+        (20, 1, 48 * 48 * 4 * 8, [20]),          # a serial cliff run: one block
+        (20, 2, 48 * 48 * 4 * 8, [10, 10]),      # one worker's share each
+        (5, 2, 2400, [3, 2]),                    # the larger block first
+        (100, 1, 48 * 48 * 4 * 8, [25] * 4),     # 28 by bytes: four equal blocks
+        (5000, 2, 48 * 48 * 4 * 8, [28] * 167 + [27] * 12),  # the paper sweep on cliff
+        (5000, 2, 2400, [834] * 2 + [833] * 4),  # grid: 873 by bytes
+        (7, 1, 1 << 30, [1] * 7),                # a cell over the cap: blocks of one
+        (1, 4, 2400, [1]),
+    ])
+    def test_blocks_split_the_run_into_equal_blocks(self, n, workers, cell, blocks):
+        got = harness._blocks(n, workers, cell)
+        assert [len(b) for b in got] == blocks
+        assert [b.start for b in got] == [sum(blocks[:i]) for i in range(len(blocks))]
+        assert max(blocks) <= max(1, min(-(-n // workers), harness._BLOCK_BYTES // cell))
+        assert max(blocks) * cell <= max(cell, harness._BLOCK_BYTES)
+
     @pytest.mark.parametrize("preset", sorted(builtin_presets()))
     def test_wave_width_follows_from_bytes(self, preset, monkeypatch):
-        # three cliff cells fill a wave; a grid or two-goals sweep fits in one
+        # a serial run of 20 replications plans them as one block; its waves
+        # stack at most _WAVE_BYTES: one cliff cell (20 x 74 KB), 15 two-goals
+        # cells (20 x 3.5 KB) or 21 grid cells (20 x 2.4 KB). A cliff block of 4
+        # (big-batch's) plans three cells per wave
         cfg = builtin_presets()[preset]
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
-        width = max(1, harness._WAVE_BYTES // ctx.mdp.transition.nbytes)
+        cell = ctx.mdp.transition.nbytes
+        assert [len(b) for b in harness._blocks(20, 1, cell)] == [20]
         blends, plans = [], []
         blend, plan = harness.regularize, harness.policy_iteration
         monkeypatch.setattr(harness, "regularize", lambda *a: blends.append(a) or blend(*a))
         monkeypatch.setattr(harness, "policy_iteration",
                             lambda *a, **k: plans.append(a) or plan(*a, **k))
-        harness._block_task(ctx, range(1))
-        assert len(blends) == len(plans) == -(-len(ctx.cells) // width)
-        assert len(plans) == (18 if cfg.mdp == "cliff" else 1)
-        # wave j is cells jw .. jw + w - 1 of the sweep, across method boundaries
-        assert [list(zip(*args[2:4])) for args in blends] == [
-            list(ctx.cells[i:i + width]) for i in range(0, len(ctx.cells), width)]
+        for reps, width in ((20, {"cliff": 1, "two_goals": 15, "grid": 21}[cfg.mdp]),
+                            (4, {"cliff": 3, "two_goals": 53, "grid": 53}[cfg.mdp])):
+            blends.clear(), plans.clear()
+            harness._block_task(ctx, range(reps))
+            assert width * reps * cell <= max(reps * cell, harness._WAVE_BYTES)
+            assert len(blends) == len(plans) == -(-len(ctx.cells) // width)
+            # wave j is cells jw .. jw + w - 1 of the sweep, across method boundaries
+            assert [list(zip(*args[2:4])) for args in blends] == [
+                list(ctx.cells[i:i + width]) for i in range(0, len(ctx.cells), width)]
+            assert {args[0].t_hat.shape[0] for args in blends} == {reps}
         assert len(ctx.cells) == 53
 
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
-    # of the true-MDP evaluations, over replications 0-2 at seed 1729 planned
-    # as one block; one replication at a time made 101, 8 and 13 planning
-    # calls for the same LU matrices. Wave 0 starts from each problem's own
-    # lookahead: from the MLE model's, the block took 268, 310, 401, 235 and
-    # 318 LU matrices. The block scores its policies in solves of at most
-    # _BLOCK_BYTES, so a policy two replications chose is solved once: scored
-    # one replication at a time, grid-optimal took 3 calls and 6 LU matrices
+    # of the true-MDP evaluations, over the blocks a serial run of 20
+    # replications at seed 1729 plans: one block of 20, each cliff cell planned
+    # in the wave after the one it starts from. The comments give the counts
+    # of the earlier layout, blocks of 4, 5 or 8 replications (cliff, two
+    # goals, grid) with three cliff cells per wave: cliff now plans fewer LU
+    # matrices on every preset, grid-optimal 42 more
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (39, 267), (2, 61)),
-        ("grid-random", (3, 264), (1, 13)),
-        ("twogoals-mixed", (5, 349), (1, 34)),
-        ("grid-optimal", (2, 182), (1, 4)),
-        ("twogoals-optimal", (2, 184), (1, 2)),
-        ("cliff-mixed", (39, 266), (2, 61)),
-        ("cliff-start-s", (33, 227), (1, 32)),
-        ("cliff-optimal", (20, 177), (1, 1)),
+        ("cliff-random", (122, 1663), (9, 481)),      # (223, 1914), (11, 481)
+        ("grid-random", (8, 1605), (1, 76)),          # (9, 1645), (3, 77)
+        ("twogoals-mixed", (19, 2276), (1, 268)),     # (22, 2293), (4, 268)
+        ("grid-optimal", (7, 1237), (1, 9)),          # (6, 1195), (3, 15)
+        ("twogoals-optimal", (5, 1183), (1, 3)),      # (8, 1337), (4, 9)
+        ("cliff-mixed", (109, 1516), (7, 350)),       # (203, 1744), (9, 350)
+        ("cliff-start-s", (109, 1444), (6, 296)),     # (192, 1625), (9, 297)
+        ("cliff-optimal", (55, 1100), (1, 1)),        # (100, 1180), (5, 5)
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
         # while a timing on a shared host cannot resolve a few percent
-        cfg = replace(builtin_presets()[preset], master_seed=1729)
+        cfg = replace(builtin_presets()[preset], master_seed=1729, replications=20)
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
-        # replications per block, sized by the bytes of a wave's stack
-        assert ctx.block_size == {"cliff-random": 4, "cliff-mixed": 4, "cliff-start-s": 4,
-                                  "cliff-optimal": 4, "grid-random": 8, "twogoals-mixed": 5,
-                                  "grid-optimal": 8, "twogoals-optimal": 5}[preset]
         work = {"planning": [0, 0], "true": [0, 0]}
 
         def counting(real, key):
@@ -508,30 +578,48 @@ class TestWaves:
                             counting(planning.policy_evaluation, "planning"))
         monkeypatch.setattr(harness, "policy_evaluation",
                             counting(harness.policy_evaluation, "true"))
-        harness._block_task(ctx, range(3))
+        for block in harness._blocks(cfg.replications, cfg.workers, ctx.mdp.transition.nbytes):
+            harness._block_task(ctx, block)
         assert (tuple(work["planning"]), tuple(work["true"])) == (planning_work, true_work)
 
-    def test_scoring_gathers_at_most_block_bytes(self, monkeypatch):
-        # a cliff block of 4 chooses some 100 distinct policies; one solve of
-        # them all would gather 2 MB of 48 x 48 T_pi matrices
+    def test_scoring_gathers_at_most_wave_bytes(self, monkeypatch):
+        # a cliff block of 20 chooses some 480 distinct policies; one solve of
+        # them all would gather 8.8 MB of 48 x 48 T_pi matrices
         cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         sizes, evaluate = [], harness.policy_evaluation
         monkeypatch.setattr(harness, "policy_evaluation",
                             lambda problem, policy: sizes.append(len(policy))
                             or evaluate(problem, policy))
-        block = harness._block_task(ctx, range(4))
-        assert len(sizes) > 1 and max(sizes) <= harness._BLOCK_BYTES // (48 * 48 * 8)
-        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 ** 60)  # one solve per block
-        np.testing.assert_array_equal(harness._block_task(ctx, range(4)), block)
+        block = harness._block_task(ctx, range(20))
+        assert len(sizes) > 1 and max(sizes) <= harness._WAVE_BYTES // (48 * 48 * 8)
+        monkeypatch.setattr(harness, "_WAVE_BYTES", 2 ** 60)  # one wave, one solve per block
+        np.testing.assert_array_equal(harness._block_task(ctx, range(20)), block)
         assert sizes[-1] == sum(sizes[:-1])
 
+    def test_a_cliff_block_of_20_keeps_its_peak_within_three_cell_stacks(self):
+        # a block holds its MLE stack and one wave's blended stack, 20 cliff
+        # matrices each (1.5 MB), and the temporaries of one step beside them:
+        # a stack of its (R, N, A, N) counts or a second wave would not fit
+        cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        harness._block_task(ctx, range(20))  # caches, imports and buffers of the first call
+        tracemalloc.start()
+        try:
+            harness._block_task(ctx, range(20))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 20 * ctx.mdp.transition.nbytes
+
     def test_every_problem_starts_from_the_nearest_solved_one(self, monkeypatch):
-        # cliff plans 3 cells per wave: dirichlet 0-1000 are cells 0-10,
-        # discount 0-1 cells 11-31 and eps_greedy 0-1 cells 32-52
+        # dirichlet 0-1000 are cells 0-10, discount 0-1 cells 11-31 and
+        # eps_greedy 0-1 cells 32-52. A cliff block of 20 plans one cell per
+        # wave, a block of 4 three
         cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
         mdp = resolve_mdp(cfg)
         ctx = harness._replication_context(cfg, mdp)
+        assert ctx.cells[11] == ("discount", 0.0) and ctx.cells[32] == ("eps_greedy", 0.0)
         waves, sweeps = [], []  # (initial policy, policy, each sweep's problems) per wave
         plan, evaluate = harness.policy_iteration, planning.policy_evaluation
 
@@ -545,32 +633,33 @@ class TestWaves:
         monkeypatch.setattr(planning, "policy_evaluation",
                             lambda problem, policy, problems=None: sweeps.append(problems)
                             or evaluate(problem, policy, problems))
-        reps = range(3)
-        harness._block_task(ctx, reps)
-        assert len(waves) == 18 and ctx.cells[11] == ("discount", 0.0) \
-            and ctx.cells[32] == ("eps_greedy", 0.0)
-        # each problem of wave 0 starts from its own greedy policy under the true values
-        for rep, initial in zip(reps, waves[0][0]):
-            data = generate_dataset(mdp, ctx.pi_opt, cfg.collection,
-                                    child_seed(cfg.master_seed, rep))
-            counts = count(data, mdp.n_states, mdp.n_actions)
-            est = mle_model(counts)
-            for cell, (method, strength) in enumerate(ctx.cells[:3]):
-                reg = regularize(est, counts, method, strength, mdp.gamma)
-                q = q_from_values(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma), ctx.v_opt)
-                np.testing.assert_array_equal(initial[cell], q.argmax(axis=-1), (rep, cell))
-        dirichlet_0 = waves[0][1][:, 0]
-        for j, (initial, _, solved) in enumerate(waves[1:], start=1):
-            # the previous wave's last policy starts each cell of a later wave
-            mle = {3: 2, 10: 2}.get(j)  # the wave's column of the dis0 or eps0 cell
-            others = [c for c in range(initial.shape[1]) if c != mle]
-            np.testing.assert_array_equal(initial[:, others],
-                                          np.repeat(waves[j - 1][1][:, -1:], len(others), 1))
-            if mle is not None:
-                # the MLE problem again: it starts from dirichlet 0 and takes one sweep
-                np.testing.assert_array_equal(initial[:, mle], dirichlet_0)
-                flat = [3 * r + mle for r in range(len(reps))]
-                assert [sum(i in active for active in solved) for i in flat] == [1, 1, 1]
+        for reps, width in ((range(20), 1), (range(4), 3)):
+            waves.clear()
+            harness._block_task(ctx, reps)
+            assert len(waves) == -(-53 // width)
+            # each problem of wave 0 starts from its own greedy policy under the true values
+            for rep, initial in zip(reps, waves[0][0]):
+                data = generate_dataset(mdp, ctx.pi_opt, cfg.collection,
+                                        child_seed(cfg.master_seed, rep))
+                counts = count(data, mdp.n_states, mdp.n_actions)
+                est = mle_model(counts)
+                for cell, (method, strength) in enumerate(ctx.cells[:width]):
+                    reg = regularize(est, counts, method, strength, mdp.gamma)
+                    q = q_from_values(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma),
+                                      ctx.v_opt)
+                    np.testing.assert_array_equal(initial[cell], q.argmax(axis=-1), (rep, cell))
+            dirichlet_0 = waves[0][1][:, 0]
+            for j, (initial, _, solved) in enumerate(waves[1:], start=1):
+                # the previous wave's last policy starts each cell of a later wave
+                mle = {11 // width: 11 % width, 32 // width: 32 % width}.get(j)  # dis0 or eps0
+                others = [c for c in range(initial.shape[1]) if c != mle]
+                np.testing.assert_array_equal(
+                    initial[:, others], np.repeat(waves[j - 1][1][:, -1:], len(others), 1))
+                if mle is not None:
+                    # the MLE problem again: it starts from dirichlet 0 and takes one sweep
+                    np.testing.assert_array_equal(initial[:, mle], dirichlet_0)
+                    flat = [width * r + mle for r in range(len(reps))]
+                    assert [sum(i in active for active in solved) for i in flat] == [1] * len(reps)
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's

@@ -55,6 +55,14 @@ class TestDirichlet:
         np.testing.assert_array_equal(reg.t_reg, 0.5)
         np.testing.assert_array_equal(reg.t_reg, mle_model(counts).t_hat)
 
+    def test_visit_counts_alone_blend_as_the_counts_do(self):
+        # dirichlet reads only the visit counts: a block keeps just those
+        counts = random_counts(7, 5, 3, unvisited=0.3)
+        model = mle_model(counts)
+        cells = (["dirichlet", "discount", "dirichlet"], [0.0, 0.5, 20.0])
+        np.testing.assert_array_equal(regularize(model, counts.visit_count, *cells, GAMMA).t_reg,
+                                      regularize(model, counts, *cells, GAMMA).t_reg)
+
     def test_negative_alpha_rejected(self):
         counts = counts_from_rows([[1, 0], [0, 1]])
         with pytest.raises(ValueError, match="prior magnitude >= 0"):
