@@ -6,8 +6,10 @@ from ``SeedSequence(master_seed)`` ("dataset stream v3"): ``random((rows,
 1 + 3L))``, each row laid out ``u_start | (coin, action, next) x L``, and
 ``standard_normal((rows, L))``. Both blocks are row-major, so row i depends
 only on (master_seed, i) and the first k rows of a dataset are the k-row
-dataset. All trajectories then advance in lockstep, one vectorised step at a
-time.
+dataset. A harness block draws the datasets of all its seeds in one pass,
+each seed's draws into its own rows of one array with a leading batch axis;
+all the block's trajectories then advance in lockstep, one vectorised step
+at a time, and a seed's dataset is the same alone or in any block.
 """
 
 from __future__ import annotations
@@ -47,8 +49,10 @@ def check_types(config, kinds: dict) -> None:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """A batch as four ``(n_trajectories, trajectory_length)`` arrays: row i is
-    trajectory i and column j its step j; rewards are float64, the rest int64."""
+    """A batch as four ``(..., n_trajectories, trajectory_length)`` arrays: row
+    i is trajectory i and column j its step j; rewards are float64, the rest
+    int64. Leading batch axes ``...`` hold several datasets, as a harness block
+    draws them in one pass; indexing them gives one (``data[i]``)."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -58,6 +62,11 @@ class Dataset:
     @property
     def n_steps(self) -> int:
         return self.states.size
+
+    def __getitem__(self, index) -> "Dataset":
+        """The datasets at ``index`` of the leading batch axes."""
+        return Dataset(self.states[index], self.actions[index], self.rewards[index],
+                       self.next_states[index])
 
 
 @dataclass(frozen=True)
@@ -130,36 +139,63 @@ class CollectionConfig:
 
 
 def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig,
-                     master_seed: int) -> Dataset:
-    """cfg.n_trajectories rows of read-only arrays; see the module docstring for
-    the draws. ``optimal`` is the policy p_optimal follows, one action per state."""
+                     master_seed: int | Sequence[int]) -> Dataset:
+    """cfg.n_trajectories rows of read-only arrays per seed: one integer seed
+    gives ``(n_trajectories, trajectory_length)`` arrays, a sequence of seeds
+    arrays with one leading batch axis, the dataset of seed i at index i. All
+    seeds' trajectories advance in one lockstep pass; see the module docstring
+    for the draws. ``optimal`` is the policy p_optimal follows, one action per
+    state."""
     n, n_actions, rows, length = (mdp.n_states, mdp.n_actions, cfg.n_trajectories,
                                   cfg.trajectory_length)
     optimal = check_policy(optimal, n_actions, "optimal")
     if optimal.shape != (n,):
         raise ValueError(f"optimal must hold one action per state, shape ({n},),"
                          f" got shape {optimal.shape}")
-    u_rng, z_rng = map(np.random.default_rng, np.random.SeedSequence(master_seed).spawn(2))
-    u, z = u_rng.random((rows, 1 + 3 * length)), z_rng.standard_normal((rows, length))
+    single = is_integer(master_seed)
+    seeds = [master_seed] if single else list(master_seed)
+    u = np.empty((len(seeds), rows, 1 + 3 * length))
+    z_rngs = []  # the normals are drawn once the uniforms are freed
+    for i, seed in enumerate(seeds):
+        u_rng, z_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        u_rng.random(out=u[i])
+        z_rngs.append(z_rng)
+    u = u.reshape(-1, 1 + 3 * length)  # every seed's trajectories, in lockstep
     # absorbing states step to themselves (a step CDF) and pay exactly 0.0
     cum = np.cumsum(mdp.transition, axis=2)
     mean, std = mdp.reward_mean.copy(), mdp.reward_std.copy()
     for s in mdp.absorbing:
         cum[:, s] = np.arange(n) >= s
         mean[s] = std[s] = 0.0
-    cum = cum.reshape(n_actions * n, n)
-    coin, u_action, u_next = u[:, 1:].reshape(rows, length, 3).transpose(2, 0, 1)
-    random_action = np.minimum((u_action * n_actions).astype(np.int64), n_actions - 1)
+    # the next state is the first CDF entry above u, always a state where the
+    # CDF rises: search each row's rises only, in order, and last a sentinel,
+    # state N at CDF inf, for a CDF that ends at or below u (clamped to n - 1)
+    cum = np.hstack([cum.reshape(n_actions * n, n), np.full((n_actions * n, 1), np.inf)])
+    rises = np.diff(cum, axis=1, prepend=0.0) > 0
+    order = np.argsort(~rises, axis=1, kind="stable")[:, :rises.sum(axis=1).max()]
+    rise_cdf, rise_to = np.take_along_axis(cum, order, axis=1), np.minimum(order, n - 1)
+    coin, u_action, u_next = u[:, 1:].reshape(-1, length, 3).transpose(2, 0, 1)
     start_cdf = np.cumsum(cfg.start_mode.distribution(n))
-    states = np.empty((rows, length + 1), dtype=np.int64)
+    states = np.empty((len(u), length + 1), dtype=np.int64)
     states[:, 0] = np.minimum(np.searchsorted(start_cdf, u[:, 0], side="right"), n - 1)
-    actions = np.empty((rows, length), dtype=np.int64)
+    actions = np.empty((len(u), length), dtype=np.int64)
     for j in range(length):
         s = states[:, j]
-        a = actions[:, j] = np.where(coin[:, j] < cfg.p_optimal, optimal[s], random_action[:, j])
-        states[:, j + 1] = np.minimum((cum[a * n + s] <= u_next[:, j, None]).sum(1), n - 1)
-    idx = states[:, :-1], actions
-    arrays = (*idx, mean[idx] + std[idx] * z, states[:, 1:])
+        random_action = np.minimum((u_action[:, j] * n_actions).astype(np.int64), n_actions - 1)
+        a = actions[:, j] = np.where(coin[:, j] < cfg.p_optimal, optimal[s], random_action)
+        row = a * n + s
+        k = (rise_cdf.take(row, axis=0) > u_next[:, j, None]).argmax(axis=1)
+        states[:, j + 1] = rise_to.take(row * rise_to.shape[1] + k)
+    del u, coin, u_action, u_next
+    rewards = np.empty((len(seeds), rows, length))
+    for z_rng, z_rows in zip(z_rngs, rewards):
+        z_rng.standard_normal(out=z_rows)
+    shape = (rows, length) if single else (len(seeds), rows, length)
+    idx = states[:, :-1].reshape(shape), actions.reshape(shape)
+    rewards = rewards.reshape(shape)  # the normals become the rewards in place
+    rewards *= std[idx]
+    rewards += mean[idx]
+    arrays = (*idx, rewards, states[:, 1:].reshape(shape))
     for arr in arrays:
         arr.setflags(write=False)
     return Dataset(*arrays)

@@ -8,6 +8,7 @@ environment, including those whose true rewards are negative.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,6 +43,12 @@ class EstimatedModel:
 
     t_hat: np.ndarray  # (..., n_actions, n_states, n_states)
     r_hat: np.ndarray  # (..., n_states, n_actions)
+
+    @cached_property
+    def action_mean(self) -> np.ndarray:
+        """The mean of the matrices over actions, (..., 1, n_states, n_states):
+        eps_greedy's T_other, made once however many cells blend it."""
+        return self.t_hat.mean(axis=-3, keepdims=True)
 
 
 def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:

@@ -43,8 +43,11 @@ def transition_mse(t_true: np.ndarray, reg: RegularizedModel) -> MseResult:
         sq *= sq
         total[start:start + per] = sq.sum(axis=(-3, -2, -1))
     total = total.reshape(t_reg.shape[:-3])
-    exit_sq = ((1.0 - t_reg @ np.ones(n)) ** 2).sum(axis=(-2, -1))
     mse_plain = total / t_true.size
-    mse_absorbing = np.where(reg.method == "discount",
-                             (total + exit_sq) / (n_actions * (n + 1) ** 2), mse_plain)
+    discount = np.asarray(reg.method) == "discount"
+    mse_absorbing = np.array(mse_plain)
+    if discount.any():  # only a discount cell has an exit column
+        exit_sq = ((1.0 - t_reg @ np.ones(n)) ** 2).sum(axis=(-2, -1))
+        mse_absorbing = np.where(discount, (total + exit_sq) / (n_actions * (n + 1) ** 2),
+                                 mse_plain)
     return MseResult(mse_plain, mse_absorbing[()])  # [()]: a scalar for one cell

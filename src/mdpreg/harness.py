@@ -3,15 +3,16 @@
 Replications run in blocks of consecutive indices, replication-major: a
 block is at most one worker's share of the run and at most _BLOCK_BYTES of one
 cell's matrices (28 cliff replications), and a run is split into blocks of
-equal sizes within one, the larger first (_blocks). Each replication of a
-block draws a dataset, counts it and fits its MLE model into the block's
-(R, A, N, N) stack; only its (R, N, A) visit counts, which the Dirichlet
-blend reads, stay beside the stack. The block then plans its (method,
-strength) cells in waves: contiguous slices of the cells in output order, as
-many per wave as keep the block's stack of blended matrices within
-_WAVE_BYTES. So a cliff block of 20 plans one cell per wave (53 waves), and a
-block of 4 three. Wave j of the block is one ``regularize``, one
-``policy_iteration`` over the R * w problems and one ``transition_mse``;
+equal sizes within one, the larger first (_blocks). A block draws its
+replications' datasets in one generate_dataset pass; each replication then
+counts its dataset and fits its MLE model into the block's (R, A, N, N)
+stack; only its (R, N, A) visit counts, which the Dirichlet blend reads,
+stay beside the stack. The block then plans its (method, strength) cells in
+waves: contiguous slices of the cells in output order, as many per wave as
+keep the block's stack of blended matrices within _WAVE_BYTES. So a cliff
+block of 20 plans one cell per wave (53 waves), and a block of 4 three. Wave
+j of the block is one ``regularize``, one ``policy_iteration`` over the R * w
+problems and one ``transition_mse``;
 true-MDP ``policy_evaluation`` calls, each gathering at most _WAVE_BYTES, then
 score every distinct policy of the block into one (3, R, cells) array. Wave
 0's problems start from their own greedy policies under the true optimal
@@ -276,17 +277,18 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     n, n_actions = mdp.n_states, mdp.n_actions
     width = min(len(cells), max(1, _WAVE_BYTES // (len(reps) * mdp.transition.nbytes)))
     starts = _starts(cells, width)
-    t_hat = np.empty((len(reps), n_actions, n, n))
-    r_hat = np.empty((len(reps), n, n_actions))
-    visits = np.empty((len(reps), n, n_actions), dtype=np.int64)  # all dirichlet reads
     culprit = reps.start  # the replication a failure names
     try:
+        data = generate_dataset(mdp, ctx.pi_opt, ctx.collection,
+                                [child_seed(ctx.master_seed, rep) for rep in reps])
+        t_hat = np.empty((len(reps), n_actions, n, n))
+        r_hat = np.empty((len(reps), n, n_actions))
+        visits = np.empty((len(reps), n, n_actions), dtype=np.int64)  # all dirichlet reads
         for i, culprit in enumerate(reps):
-            counts = count(generate_dataset(mdp, ctx.pi_opt, ctx.collection,
-                                            child_seed(ctx.master_seed, culprit)), n, n_actions)
+            counts = count(data[i], n, n_actions)
             one = mle_model(counts)
             t_hat[i], r_hat[i], visits[i] = one.t_hat, one.r_hat, counts.visit_count
-        del counts, one  # the stacks hold the block's data: keep no replication's beside them
+        del data, counts, one  # the stacks hold the block's data: keep no dataset beside them
         culprit = reps.start
         est = EstimatedModel(t_hat, r_hat)
 

@@ -45,7 +45,8 @@ def blend(t_mle: np.ndarray, t_other, eps, out: np.ndarray | None = None) -> np.
     """The one kernel of every method, ``(1 - eps) * t_mle + eps * t_other``;
     ``eps`` is a scalar or one weight per row, ``(..., n_actions, n_states, 1)``."""
     out = np.multiply(1.0 - eps, t_mle, out=out)
-    out += eps * t_other
+    if np.ndim(t_other) or t_other:  # a scalar 0 (discount, none) adds nothing
+        out += eps * t_other
     return out
 
 
@@ -95,7 +96,7 @@ def regularize(model: EstimatedModel, counts: CountsTensor | np.ndarray | None, 
     batch, matrices = t_hat.shape[:-3], t_hat.shape[-3:]
     visit_count = counts.visit_count if isinstance(counts, CountsTensor) else counts
     visits = visit_count.swapaxes(-1, -2)[..., None] if "dirichlet" in names else None
-    action_mean = t_hat.mean(axis=-3, keepdims=True) if "eps_greedy" in names else None
+    action_mean = model.action_mean if "eps_greedy" in names else None
     # cell by cell into the stack: whole-stack temporaries cost more than the loop
     t_reg = np.empty(batch + methods.shape + matrices)
     cells = t_reg.reshape(batch + (len(names),) + matrices)  # a view of the new stack

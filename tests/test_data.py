@@ -1,5 +1,6 @@
 from bisect import bisect_right
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -209,7 +210,10 @@ def _scalar_reference(mdp, optimal, cfg, master_seed):
 @st.composite
 def collection_cases(draw):
     """A random MDP (sparse rows, some absorbing states), an optimal policy,
-    and a collection config over all p_optimal branches and start modes."""
+    and a collection config over all p_optimal branches and start modes. In
+    some cases the MDP is a stand-in whose non-absorbing rows sum to 0.6, which
+    TabularMdp would reject: a CDF then often ends at or below u, where the
+    next state clamps to n - 1 as bisect_right's count does."""
     n = draw(st.integers(2, 6))
     n_actions = draw(st.integers(1, 4))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
@@ -223,6 +227,10 @@ def collection_cases(draw):
     mean = rng.uniform(-1, 1, (n, n_actions))
     mean[list(absorbing)] = 0.0
     mdp = TabularMdp(t, mean, rng.uniform(0, 1, (n, n_actions)), 0.9, absorbing=absorbing)
+    if draw(st.booleans()):
+        mdp = SimpleNamespace(n_states=n, n_actions=n_actions, transition=0.6 * mdp.transition,
+                              reward_mean=mdp.reward_mean, reward_std=mdp.reward_std,
+                              absorbing=mdp.absorbing)
     states = st.integers(0, n - 1)
     start = draw(st.one_of(st.just(StartMode.uniform()), states.map(StartMode.fixed),
                            st.lists(states, min_size=1, unique=True).map(StartMode.subset)))
@@ -232,27 +240,44 @@ def collection_cases(draw):
     return mdp, optimal, cfg, draw(st.integers(0, 2 ** 64 - 1))
 
 
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+# a block's seeds: any 64-bit seeds, repeats included
+SEED_LISTS = st.lists(st.integers(0, 2 ** 64 - 1), min_size=1, max_size=4)
+
+
 @settings(max_examples=150, deadline=None)
-@given(collection_cases())
-def test_lockstep_generator_equals_the_scalar_loop(case):
+@given(collection_cases(), SEED_LISTS)
+def test_lockstep_generator_equals_the_scalar_loop(case, seeds):
+    # one seed gives the 2-D dataset; a list of seeds, one lockstep pass, gives
+    # seed i's dataset at index i of the leading axis
     mdp, optimal, cfg, master_seed = case
     ds = generate_dataset(mdp, optimal, cfg, master_seed)
     for field, expected in zip(FIELDS, _scalar_reference(mdp, optimal, cfg, master_seed)):
-        assert np.array_equal(getattr(ds, field), expected), field
+        assert same_bits(getattr(ds, field), expected), field
+    block = generate_dataset(mdp, optimal, cfg, seeds)
+    assert block.states.shape == (len(seeds), cfg.n_trajectories, cfg.trajectory_length)
+    for i, seed in enumerate(seeds):
+        for field, expected in zip(FIELDS, _scalar_reference(mdp, optimal, cfg, seed)):
+            assert same_bits(getattr(block[i], field), expected), (i, field)
 
 
 @settings(max_examples=100, deadline=None)
-@given(collection_cases(), st.integers(1, 6))
-def test_first_rows_are_the_smaller_dataset(case, extra_rows):
+@given(collection_cases(), st.integers(1, 6), SEED_LISTS)
+def test_first_rows_are_the_smaller_dataset(case, extra_rows, seeds):
     # a row depends only on (master_seed, row): the first n rows of an m-row
-    # dataset (n < m) are the n-row dataset, rewards included
+    # dataset (n < m) are the n-row dataset, rewards included, for one seed
+    # and for each seed of a block
     mdp, optimal, cfg, master_seed = case
-    small = generate_dataset(mdp, optimal, cfg, master_seed)
-    big = generate_dataset(mdp, optimal, replace(cfg, n_trajectories=cfg.n_trajectories
-                                                 + extra_rows), master_seed)
-    for field in FIELDS:
-        assert np.array_equal(getattr(big, field)[:cfg.n_trajectories],
-                              getattr(small, field)), field
+    bigger = replace(cfg, n_trajectories=cfg.n_trajectories + extra_rows)
+    for seed in (master_seed, seeds):
+        small = generate_dataset(mdp, optimal, cfg, seed)
+        big = generate_dataset(mdp, optimal, bigger, seed)
+        for field in FIELDS:
+            assert same_bits(getattr(big, field)[..., :cfg.n_trajectories, :],
+                             getattr(small, field)), field
 
 
 def _previous_sampler(mdp, optimal, cfg):

@@ -85,6 +85,44 @@ class TestTransitionMse:
         expected = per_action.sum() / (2 * 16)
         assert result.mse_absorbing == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("batch, methods", [
+        ((), "eps_greedy"),                            # one cell, method a plain string
+        ((), ("none",)),
+        ((3,), "dirichlet"),                           # three models of one cell
+        ((3,), ("dirichlet", "eps_greedy", "none")),   # a wave of three models x three cells
+    ])
+    def test_a_wave_without_a_discount_cell_has_no_exit_column(self, batch, methods):
+        # its absorbing MSE is its plain MSE, bit for bit and of the same shape;
+        # one cell gives numpy scalars
+        rng = np.random.default_rng(17)
+        t_true = rng.dirichlet(np.ones(4), size=(2, 4))
+        t_reg = rng.dirichlet(np.ones(4), size=batch + np.shape(methods) + (2, 4))
+        result = transition_mse(t_true, RegularizedModel(t_reg, None, methods, 0.95))
+        plain, absorbing = result.mse_plain, result.mse_absorbing
+        assert np.shape(plain) == np.shape(absorbing) == batch + np.shape(methods)
+        assert isinstance(absorbing, np.ndarray) == isinstance(plain, np.ndarray) == (
+            t_reg.ndim > 3)
+        assert np.asarray(absorbing).tobytes() == np.asarray(plain).tobytes()
+
+    def test_a_mixed_wave_adds_the_exit_column_to_its_discount_cells_only(self):
+        # the absorbing MSE of each cell of a wave, recomputed in one pass over
+        # the whole stack: the plain squared error, plus the exit column's for
+        # the discount cells, over (N + 1)^2 entries per action
+        rng = np.random.default_rng(19)
+        t_true = rng.dirichlet(np.ones(4), size=(2, 4))
+        methods = ("dirichlet", "discount", "eps_greedy", "discount")
+        model = EstimatedModel(rng.dirichlet(np.ones(4), size=(3, 2, 4)), np.zeros((3, 4, 2)))
+        reg = regularize(model, np.full((3, 4, 2), 5), methods, (2.0, 0.3, 0.5, 0.0), 0.95)
+        result = transition_mse(t_true, reg)
+        total = ((t_true - reg.t_reg) ** 2).sum(axis=(-3, -2, -1))
+        exit_sq = ((1.0 - reg.t_reg @ np.ones(4)) ** 2).sum(axis=(-2, -1))
+        assert result.mse_plain.tobytes() == (total / t_true.size).tobytes()
+        expected = np.where(np.array(methods) == "discount", (total + exit_sq) / (2 * 5 ** 2),
+                            total / t_true.size)
+        assert result.mse_absorbing.shape == (3, 4)
+        assert result.mse_absorbing.tobytes() == expected.tobytes()
+        assert np.all((result.mse_absorbing != result.mse_plain)[:, [1, 3]])
+
     def test_shape_mismatch_rejected(self):
         t = np.ones((1, 2, 2)) * 0.5
         with pytest.raises(ValueError, match="shape mismatch"):

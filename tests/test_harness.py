@@ -269,7 +269,8 @@ class TestFailureHandling:
     def test_replication_failure_names_its_index(self, monkeypatch):
         import mdpreg.harness as harness
 
-        real = harness.generate_dataset
+        # a block draws its datasets at once, then counts them one by one
+        real = harness.count
         calls = iter(range(1000))
 
         def flaky(*args, **kwargs):
@@ -277,7 +278,7 @@ class TestFailureHandling:
                 raise np.linalg.LinAlgError("synthetic failure")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr("mdpreg.harness.generate_dataset", flaky)
+        monkeypatch.setattr("mdpreg.harness.count", flaky)
         seed = child_seed(777, 2)
         with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
             run_experiment(tiny_config())
@@ -285,19 +286,23 @@ class TestFailureHandling:
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers see the patched harness only when forked")
     def test_pool_replication_failure_names_its_index(self, monkeypatch):
-        # keyed on the child seed: a call counter would count per worker process
-        real = harness.generate_dataset
+        # keyed on replication 2's data: a call counter would count per worker
+        # process, and a block draws all its replications' data in one call
+        cfg = tiny_config(workers=2)
+        real = harness.count
         seed = child_seed(777, 2)
+        pi_opt = harness._replication_context(cfg, resolve_mdp(cfg)).pi_opt
+        poisoned = generate_dataset(resolve_mdp(cfg), pi_opt, cfg.collection, seed).rewards
 
-        def flaky(mdp, optimal, cfg, master_seed):
-            if master_seed == seed:
+        def flaky(dataset, n_states, n_actions):
+            if np.array_equal(dataset.rewards, poisoned):
                 raise np.linalg.LinAlgError("synthetic failure")
-            return real(mdp, optimal, cfg, master_seed)
+            return real(dataset, n_states, n_actions)
 
-        monkeypatch.setattr(harness, "generate_dataset", flaky)
+        monkeypatch.setattr(harness, "count", flaky)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match=rf"replication 2 \(child seed {seed}\) failed"):
-            run_experiment(tiny_config(workers=2))
+            run_experiment(cfg)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="pool workers see the patched harness only when forked")
@@ -311,7 +316,7 @@ class TestFailureHandling:
         seed = child_seed(777, 0)
 
         def dying(mdp, optimal, cfg, master_seed):
-            if master_seed == seed:
+            if seed in master_seed:  # the seeds of one block
                 os._exit(1)
             return real(mdp, optimal, cfg, master_seed)
 
@@ -340,7 +345,7 @@ class TestFailureHandling:
         seed = child_seed(cfg.master_seed, 11)
 
         def dying(mdp, optimal, collection, master_seed):
-            if master_seed == seed:
+            if seed in master_seed:  # the seeds of block 11-12
                 received.wait(60)
                 os._exit(1)
             return real(mdp, optimal, collection, master_seed)
@@ -485,7 +490,7 @@ class TestSharedPool:
         seed = child_seed(777, 0)
 
         def dying(mdp, optimal, cfg, master_seed):
-            if master_seed == seed:
+            if seed in master_seed:  # the seeds of one block
                 os._exit(1)
             return real(mdp, optimal, cfg, master_seed)
 
