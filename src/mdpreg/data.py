@@ -155,7 +155,7 @@ def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig
     single = is_integer(master_seed)
     seeds = [master_seed] if single else list(master_seed)
     u = np.empty((len(seeds), rows, 1 + 3 * length))
-    z_rngs = []  # the normals are drawn once the uniforms are freed
+    z_rngs = []  # the normals are drawn once the uniforms are freed: never both at once
     for i, seed in enumerate(seeds):
         u_rng, z_rng = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
         u_rng.random(out=u[i])

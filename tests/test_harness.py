@@ -291,8 +291,8 @@ class TestFailureHandling:
         cfg = tiny_config(workers=2)
         real = harness.count
         seed = child_seed(777, 2)
-        pi_opt = harness._replication_context(cfg, resolve_mdp(cfg)).pi_opt
-        poisoned = generate_dataset(resolve_mdp(cfg), pi_opt, cfg.collection, seed).rewards
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        poisoned = generate_dataset(ctx.mdp, ctx.pi_opt, cfg.collection, seed).rewards
 
         def flaky(dataset, n_states, n_actions):
             if np.array_equal(dataset.rewards, poisoned):
@@ -396,6 +396,23 @@ class TestFailureHandling:
         with pytest.raises(harness.ReplicationError,
                            match=rf"^replication 3 \(child seed {seed}\) failed: strength 2"):
             harness._block_task(ctx, range(3, 6))
+
+    def test_a_data_failure_names_the_blocks_first_replication(self, monkeypatch):
+        # one generate_dataset call draws the data of all the block's replications
+        cfg = tiny_config()
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        calls = []
+
+        def failing(mdp, optimal, collection, master_seed):
+            calls.append(list(master_seed))
+            raise np.linalg.LinAlgError("synthetic failure")
+
+        monkeypatch.setattr(harness, "generate_dataset", failing)
+        seed = child_seed(cfg.master_seed, 3)
+        with pytest.raises(harness.ReplicationError,
+                           match=rf"^replication 3 \(child seed {seed}\) failed: synthetic"):
+            harness._block_task(ctx, range(3, 6))
+        assert calls == [[child_seed(cfg.master_seed, rep) for rep in range(3, 6)]]
 
     def test_a_scoring_failure_names_the_blocks_first_replication(self, monkeypatch):
         # on grid one true-MDP solve scores the whole block; no real run fails
