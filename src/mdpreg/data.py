@@ -6,10 +6,10 @@ from ``SeedSequence(master_seed)`` ("dataset stream v3"): ``random((rows,
 1 + 3L))``, each row laid out ``u_start | (coin, action, next) x L``, and
 ``standard_normal((rows, L))``. Both blocks are row-major, so row i depends
 only on (master_seed, i) and the first k rows of a dataset are the k-row
-dataset. A harness block draws the datasets of all its seeds in one pass,
-each seed's draws into its own rows of one array with a leading batch axis;
-all the block's trajectories then advance in lockstep, one vectorised step
-at a time, and a seed's dataset is the same alone or in any block.
+dataset. A harness block draws its seeds' datasets in passes of several
+seeds, each seed's draws into its own rows of one array with a leading batch
+axis; all of a pass's trajectories then advance in lockstep, one vectorised
+step at a time, and a seed's dataset is the same alone or in any pass.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ class Dataset:
     """A batch as four ``(..., n_trajectories, trajectory_length)`` arrays: row
     i is trajectory i and column j its step j; rewards are float64, the rest
     int64. Leading batch axes ``...`` hold several datasets, as a harness block
-    draws them in one pass; indexing them gives one (``data[i]``)."""
+    draws them in a data pass; indexing them gives one (``data[i]``)."""
 
     states: np.ndarray
     actions: np.ndarray
@@ -143,9 +143,10 @@ def generate_dataset(mdp: TabularMdp, optimal: np.ndarray, cfg: CollectionConfig
     """cfg.n_trajectories rows of read-only arrays per seed: one integer seed
     gives ``(n_trajectories, trajectory_length)`` arrays, a sequence of seeds
     arrays with one leading batch axis, the dataset of seed i at index i. All
-    seeds' trajectories advance in one lockstep pass; see the module docstring
-    for the draws. ``optimal`` is the policy p_optimal follows, one action per
-    state."""
+    seeds' trajectories advance in one lockstep pass, which holds some 48
+    bytes per step of every seed at once (the harness bounds a pass's seeds);
+    see the module docstring for the draws. ``optimal`` is the policy
+    p_optimal follows, one action per state."""
     n, n_actions, rows, length = (mdp.n_states, mdp.n_actions, cfg.n_trajectories,
                                   cfg.trajectory_length)
     optimal = check_policy(optimal, n_actions, "optimal")

@@ -4,10 +4,12 @@ Replications run in blocks of consecutive indices, replication-major: a
 block is at most one worker's share of the run and at most _BLOCK_BYTES of one
 cell's matrices (28 cliff replications), and a run is split into blocks of
 equal sizes within one, the larger first (_blocks). A block draws its
-replications' datasets in one generate_dataset pass; each replication then
-counts its dataset and fits its MLE model into the block's (R, A, N, N)
-stack; only its (R, N, A) visit counts, which the Dirichlet blend reads,
-stay beside the stack. The block then plans its (method, strength) cells in
+replications' datasets in generate_dataset passes of as many seeds as keep a
+pass's uniforms within _BLOCK_BYTES (all of a cliff preset's block, 563 of
+the grid and two-goals presets' 15 x 10 data, 8 of 200 x 50); each
+replication then counts its dataset and fits its MLE model into the
+block's (R, A, N, N) stack; only its (R, N, A) visit counts, which the
+Dirichlet blend reads, stay beside the stack. The block then plans its (method, strength) cells in
 waves: contiguous slices of the cells in output order, as many per wave as
 keep the block's stack of blended matrices within _WAVE_BYTES. So a cliff
 block of 20 plans one cell per wave (53 waves), and a block of 4 three. Wave
@@ -57,7 +59,8 @@ DEFAULT_EPS_GRID = tuple(i / 20 for i in range(21))
 DEFAULT_MAGNITUDE_GRID = (0.0, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0)
 
 # bytes of one cell's matrices over a block's replications: 28 cliff
-# replications (74 KB each), 606 of two goals (3.5 KB), 873 of grid (2.4 KB)
+# replications (74 KB each), 606 of two goals (3.5 KB), 873 of grid (2.4 KB);
+# also the bytes of uniforms one data pass of a block may draw
 _BLOCK_BYTES = 1 << 21
 # bytes of blended matrices a block's wave may stack, and of T_pi matrices a
 # true-MDP solve may gather: one cliff cell for a block of 20, three for a
@@ -272,23 +275,31 @@ def _replication_metrics(ctx: _ReplicationContext, rep: int, *, block: range
 def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     """Replications ``reps``: data -> stacked estimate -> waves of the block's
     cells -> true-MDP scoring. A failure raises a ReplicationError naming
-    the replication it belongs to, or the block's first for a whole-block step."""
+    the replication it belongs to, the first of its data pass for drawing
+    the data, or the block's first for another whole-block step."""
     mdp, cells = ctx.mdp, ctx.cells
     n, n_actions = mdp.n_states, mdp.n_actions
     width = min(len(cells), max(1, _WAVE_BYTES // (len(reps) * mdp.transition.nbytes)))
     starts = _starts(cells, width)
+    # seeds per data pass: at most _BLOCK_BYTES of uniforms, n_trajectories
+    # rows of 1 + 3L per seed, and about as many bytes of trajectories
+    uniforms = ctx.collection.n_trajectories * (1 + 3 * ctx.collection.trajectory_length)
+    per_pass = max(1, _BLOCK_BYTES // (uniforms * 8))
     culprit = reps.start  # the replication a failure names
     try:
-        data = generate_dataset(mdp, ctx.pi_opt, ctx.collection,
-                                [child_seed(ctx.master_seed, rep) for rep in reps])
         t_hat = np.empty((len(reps), n_actions, n, n))
         r_hat = np.empty((len(reps), n, n_actions))
         visits = np.empty((len(reps), n, n_actions), dtype=np.int64)  # all dirichlet reads
-        for i, culprit in enumerate(reps):
-            counts = count(data[i], n, n_actions)
-            one = mle_model(counts)
-            t_hat[i], r_hat[i], visits[i] = one.t_hat, one.r_hat, counts.visit_count
-        del data, counts, one  # the stacks hold the block's data: keep no dataset beside them
+        for lo in range(0, len(reps), per_pass):
+            part = reps[lo:lo + per_pass]
+            culprit = part.start
+            data = generate_dataset(mdp, ctx.pi_opt, ctx.collection,
+                                    [child_seed(ctx.master_seed, rep) for rep in part])
+            for i, culprit in enumerate(part, lo):
+                counts = count(data[i - lo], n, n_actions)
+                one = mle_model(counts)
+                t_hat[i], r_hat[i], visits[i] = one.t_hat, one.r_hat, counts.visit_count
+            del data, counts, one  # the stacks hold the pass's data: keep no dataset beside them
         culprit = reps.start
         est = EstimatedModel(t_hat, r_hat)
 

@@ -316,7 +316,7 @@ class TestFailureHandling:
         seed = child_seed(777, 0)
 
         def dying(mdp, optimal, cfg, master_seed):
-            if seed in master_seed:  # the seeds of one block
+            if seed in master_seed:  # the seeds of one block, drawn in one pass
                 os._exit(1)
             return real(mdp, optimal, cfg, master_seed)
 
@@ -345,7 +345,7 @@ class TestFailureHandling:
         seed = child_seed(cfg.master_seed, 11)
 
         def dying(mdp, optimal, collection, master_seed):
-            if seed in master_seed:  # the seeds of block 11-12
+            if seed in master_seed:  # the seeds of block 11-12, drawn in one pass
                 received.wait(60)
                 os._exit(1)
             return real(mdp, optimal, collection, master_seed)
@@ -398,7 +398,7 @@ class TestFailureHandling:
             harness._block_task(ctx, range(3, 6))
 
     def test_a_data_failure_names_the_blocks_first_replication(self, monkeypatch):
-        # one generate_dataset call draws the data of all the block's replications
+        # one generate_dataset pass draws the tiny config's data for the whole block
         cfg = tiny_config()
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         calls = []
@@ -413,6 +413,28 @@ class TestFailureHandling:
                            match=rf"^replication 3 \(child seed {seed}\) failed: synthetic"):
             harness._block_task(ctx, range(3, 6))
         assert calls == [[child_seed(cfg.master_seed, rep) for rep in range(3, 6)]]
+
+    def test_a_data_failure_names_its_passes_first_replication(self, monkeypatch):
+        # a pass draws as many seeds as keep its uniforms within _BLOCK_BYTES:
+        # 5 rows of 1 + 3 * 8 per seed make passes of two, [3, 4], [5, 6], [7]
+        cfg = tiny_config()
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 * 5 * 25 * 8)
+        calls, draw = [], harness.generate_dataset
+
+        def failing(mdp, optimal, collection, master_seed):
+            calls.append(list(master_seed))
+            if child_seed(cfg.master_seed, 6) in master_seed:
+                raise np.linalg.LinAlgError("synthetic failure")
+            return draw(mdp, optimal, collection, master_seed)
+
+        monkeypatch.setattr(harness, "generate_dataset", failing)
+        seed = child_seed(cfg.master_seed, 5)
+        with pytest.raises(harness.ReplicationError,
+                           match=rf"^replication 5 \(child seed {seed}\) failed: synthetic"):
+            harness._block_task(ctx, range(3, 8))
+        assert calls == [[child_seed(cfg.master_seed, rep) for rep in part]
+                         for part in ((3, 4), (5, 6))]
 
     def test_a_scoring_failure_names_the_blocks_first_replication(self, monkeypatch):
         # on grid one true-MDP solve scores the whole block; no real run fails
@@ -507,7 +529,7 @@ class TestSharedPool:
         seed = child_seed(777, 0)
 
         def dying(mdp, optimal, cfg, master_seed):
-            if seed in master_seed:  # the seeds of one block
+            if seed in master_seed:  # the seeds of one block, drawn in one pass
                 os._exit(1)
             return real(mdp, optimal, cfg, master_seed)
 
@@ -633,6 +655,35 @@ class TestWaves:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 20 * ctx.mdp.transition.nbytes
+
+    def test_a_large_collection_draws_its_block_in_passes(self, monkeypatch):
+        # 200 x 50 data is 242 KB of uniforms per seed, so a grid block of 64
+        # draws 8 seeds per pass: 15.5 MB of uniforms in one pass, 1.9 MB in eight
+        cfg = tiny_config(collection=CollectionConfig(200, 50, 0.0, StartMode.uniform()))
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        passes, draw = [], harness.generate_dataset
+        monkeypatch.setattr(harness, "generate_dataset",
+                            lambda mdp, optimal, collection, seeds: passes.append(len(seeds))
+                            or draw(mdp, optimal, collection, seeds))
+
+        def peak_of_block():
+            harness._block_task(ctx, range(2))  # caches, imports and buffers of the first call
+            tracemalloc.start()
+            try:
+                block = harness._block_task(ctx, range(64))
+                return block, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        block, peak = peak_of_block()
+        assert passes[1:] == [8] * 8
+        # one pass's uniforms, then its trajectories and rewards in about as many bytes
+        assert peak < 3 * harness._BLOCK_BYTES
+        monkeypatch.setattr(harness, "_BLOCK_BYTES", 2 ** 60)  # the whole block in one pass
+        passes.clear()
+        one_pass, one_pass_peak = peak_of_block()
+        assert passes[1:] == [64] and one_pass_peak > 4 * peak
+        np.testing.assert_array_equal(one_pass, block)
 
     def test_every_problem_starts_from_the_nearest_solved_one(self, monkeypatch):
         # dirichlet 0-1000 are cells 0-10, discount 0-1 cells 11-31 and
