@@ -21,7 +21,7 @@ UNVISITED_REWARD = 0.50
 class CountsTensor:
     """Transition counts and reward sums, the sufficient statistics, with
     leading batch axes ``...``: one dataset's for the empty batch shape, or a
-    stack of datasets'."""
+    stack of datasets', whose batch axes come from stacking, not from ``count``."""
 
     c: np.ndarray            # (..., n_states, n_actions, n_states) int64
     reward_sum: np.ndarray   # (..., n_states, n_actions)
@@ -52,8 +52,10 @@ class EstimatedModel:
 
 
 def count(dataset: Dataset, n_states: int, n_actions: int) -> CountsTensor:
-    """Transition counts and reward sums; rewards add in trajectory-then-step order."""
+    """One dataset's transition counts and reward sums, added in trajectory-then-step order."""
     s, a, s_next = dataset.states, dataset.actions, dataset.next_states
+    if s.ndim != 2:
+        raise ValueError(f"count takes one dataset, got arrays of shape {s.shape}")
     bad = ((s < 0) | (s >= n_states) | (a < 0) | (a >= n_actions)
            | (s_next < 0) | (s_next >= n_states))
     if bad.any():

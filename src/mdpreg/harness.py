@@ -12,15 +12,18 @@ block's (R, A, N, N) stack; only its (R, N, A) visit counts, which the
 Dirichlet blend reads, stay beside the stack. The block then plans its (method, strength) cells in
 waves: contiguous slices of the cells in output order, as many per wave as
 keep the block's stack of blended matrices within _WAVE_BYTES. So a cliff
-block of 20 plans one cell per wave (53 waves), and a block of 4 three. Wave
-j of the block is one ``regularize``, one ``policy_iteration`` over the R * w
-problems and one ``transition_mse``;
+block of 20 plans one cell per wave (51 waves: those of a preset's two
+copies, see below, are skipped), and a block of 4 three. A wave of w planned cells is one
+``regularize``, one ``policy_iteration`` over its R * w problems and one
+``transition_mse``;
 true-MDP ``policy_evaluation`` calls, each gathering at most _WAVE_BYTES, then
-score every distinct policy of the block into one (3, R, cells) array. Wave
-0's problems start from their own greedy policies under the true optimal
-values, a later problem from the nearest one its replication has solved
-(_starts): with one cell per wave, the cell before it. A pool task holds
-whole blocks. Rows aggregate mean and standard error across replications.
+score every distinct policy of the block into one (3, R, cells) array. The
+strength-0 cells blend nothing: only the first is planned, and its copies,
+the later ones, take its policies and MSE (a wave of copies only is skipped).
+Wave 0 starts from each problem's greedy policy under the true optimal
+values, a later wave from its replication's policy of the cell before it. A
+pool task is one block. Rows aggregate mean and standard error across
+replications.
 Replication r always uses child_seed(master_seed, r), each planning problem
 takes the sweeps it would take alone, and aggregation always sums in
 replication order, so results are bit-identical for any worker count and
@@ -67,11 +70,6 @@ _BLOCK_BYTES = 1 << 21
 # block of 4. Outputs depend on neither, so they are neither config fields nor
 # hashed; they bound a block's memory
 _WAVE_BYTES = 1 << 20
-# pool tasks per worker: each task of a pooled run of n replications holds as
-# many whole blocks as fit in n // (workers * _TASKS_PER_WORKER) of them (at
-# least one block)
-_TASKS_PER_WORKER = 8
-
 # the dense example limited-start variant needs an explicit list of 5 states
 GRID_LIMITED_STARTS = (0, 2, 4, 6, 8)
 
@@ -232,19 +230,6 @@ def _replication_context(cfg: ExperimentConfig, mdp: TabularMdp) -> _Replication
     )
 
 
-def _starts(cells: tuple[tuple[str, float], ...], width: int) -> np.ndarray:
-    """For each cell, the cell whose policy starts its policy iteration, or -1
-    in wave 0, whose problems start from their own greedy policies under the
-    true optimal values. A strength-0 cell blends nothing, so it is the MLE
-    problem: the first one solved starts the later waves' others, which then
-    take one sweep."""
-    mle = next((i for i, (_, strength) in enumerate(cells) if strength == 0.0), None)
-    return np.array([
-        mle if mle is not None and mle // width < i // width and strength == 0.0
-        else i // width * width - 1  # the previous wave's last cell; -1 in wave 0
-        for i, (_, strength) in enumerate(cells)], dtype=np.int64)
-
-
 def _blocks(n: int, workers: int, cell_bytes: int) -> list[range]:
     """Replications 0..n-1 in blocks of consecutive indices: as few blocks as
     hold at most one worker's share of the run, ceil(n / workers), and at most
@@ -280,7 +265,8 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
     mdp, cells = ctx.mdp, ctx.cells
     n, n_actions = mdp.n_states, mdp.n_actions
     width = min(len(cells), max(1, _WAVE_BYTES // (len(reps) * mdp.transition.nbytes)))
-    starts = _starts(cells, width)
+    # every strength-0 cell is the MLE problem: only the first is planned
+    first, *copies = [i for i, (_, strength) in enumerate(cells) if strength == 0.0] or [None]
     # seeds per data pass: at most _BLOCK_BYTES of uniforms, n_trajectories
     # rows of 1 + 3L per seed, and about as many bytes of trajectories
     uniforms = ctx.collection.n_trajectories * (1 + 3 * ctx.collection.trajectory_length)
@@ -309,26 +295,36 @@ def _block_metrics(ctx: _ReplicationContext, reps: range) -> np.ndarray:
         metrics = np.empty((3, len(reps), len(cells)))
         loss, mse_plain, mse_abs = metrics
         for start in range(0, len(cells), width):
-            wave = slice(start, min(start + width, len(cells)))
-            methods, strengths = zip(*cells[wave])
+            planned = [i for i in range(start, min(start + width, len(cells))) if i not in copies]
+            if not planned:
+                continue
+            methods, strengths = zip(*(cells[i] for i in planned))
             reg = regularize(est, visits, methods, strengths, mdp.gamma)
             problem = PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma)
             initial = (q_from_values(problem, ctx.v_opt).argmax(axis=-1) if start == 0
-                       else policies[:, starts[wave]])
+                       else policies[:, start - 1, None])  # the cell before the wave
             try:
                 policy = policy_iteration(problem, initial_policy=initial)[0]
             except PolicyIterationError as exc:
-                # flat problem i is replication i // w, cell i % w of the wave
+                # flat problem i is replication i // w, planned cell i % w of the wave
                 stuck = [divmod(i, len(methods)) for i in exc.problems]
                 culprit = reps[stuck[0][0]]
                 names = ", ".join(f"({methods[j]}, {strengths[j]:g})"
                                   for r, j in stuck if r == stuck[0][0])
                 raise RuntimeError(f"{exc} at cell(s) {names}") from exc
-            policies[:, wave] = policy
+            policies[:, planned] = policy
             mse = transition_mse(mdp.transition, reg)
-            mse_plain[:, wave] = mse.mse_plain
-            mse_abs[:, wave] = mse.mse_absorbing
+            mse_plain[:, planned] = mse.mse_plain
+            mse_abs[:, planned] = mse.mse_absorbing
             del reg, problem  # before the next wave's stack is made: two would double the peak
+            if first in planned:
+                policies[:, copies] = policies[:, first, None]
+                # a copy's absorbing MSE is its plain one, but for discount's exit column
+                mse_plain[:, copies] = mse_abs[:, copies] = mse_plain[:, first, None]
+                if ("discount", 0.0) in (cells[i] for i in copies):
+                    mse_abs[:, cells.index(("discount", 0.0))] = transition_mse(
+                        mdp.transition, regularize(est, None, "discount", 0.0, mdp.gamma)
+                    ).mse_absorbing
         del est, t_hat  # the scoring's T_pi slices take their place
 
         # evaluate each distinct policy of the block once in the true MDP, in
@@ -389,11 +385,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if workers <= 1:
         results += map(task, blocks)
     else:
-        per_task = max(1, n // (workers * _TASKS_PER_WORKER) // len(blocks[0]))  # whole blocks
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:
-                for metrics in _shared_pool(workers).map(task, blocks, chunksize=per_task):
+                for metrics in _shared_pool(workers).map(task, blocks):
                     results.append(metrics)
                 break
             except BrokenProcessPool as exc:
@@ -404,15 +399,13 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
                     reused = False
                     results.clear()
                     continue
-                # map yields blocks in order: the first missing one starts this
-                # replication, in the task of per_task blocks that holds it
-                missing = len(results)
-                rep = blocks[missing].start
-                chunk = blocks[missing - missing % per_task:][:per_task]
+                # map yields blocks in order: the first missing one is this task
+                block = blocks[len(results)]
                 raise ReplicationError(
-                    f"replication {rep} (child seed {child_seed(cfg.master_seed, rep)},"
-                    f" chunk of replications {chunk[0].start}-{chunk[-1].stop - 1}) was not"
-                    f" received: a worker process died ({exc})") from exc
+                    f"replication {block.start} (child seed"
+                    f" {child_seed(cfg.master_seed, block.start)}, block of replications"
+                    f" {block.start}-{block.stop - 1}) was not received: a worker process"
+                    f" died ({exc})") from exc
             except BaseException:  # a failed replication or an interrupt
                 _drop_pool(cancel=True)
                 raise

@@ -194,12 +194,13 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     # both cells of a wave from the previous wave's last policy, so waves cross
     # method boundaries and methods share one warm start; one wave per sweep
     # starts every cell from its own greedy policy under the true values, as
-    # wave 0 of every width does. A strength-0 cell after an earlier wave's
-    # first one starts from its policy. Blocks of 1, 3 or all replications
-    # stack the replications' waves, each replication with its own warm
-    # starts, serially and in a pool. 7 replications make uneven blocks (3, 2,
-    # 2 under a cap of 3; 4 and 3 for 2 workers' shares), and a smaller block
-    # of a run takes wider waves. All must give the same bits, also on
+    # wave 0 of every width does. The strength-0 cells after the first are
+    # copies of it (mle_copies): no wave plans them, and a wave of copies only
+    # is skipped. Blocks of 1, 3 or all replications stack the replications'
+    # waves, each replication with its own warm starts, serially and in a
+    # pool. 7 replications make uneven blocks (3, 2, 2 under a cap of 3; 4
+    # and 3 for 2 workers' shares), and a smaller block of a run takes wider
+    # waves. All must give the same bits, also on
     # near-ties: copied actions, eps_greedy near 1, and data that leave most
     # pairs unvisited (p_optimal = 1, few short trajectories)
     mdp = near_tie_mdp(seed, n, n_actions, copies, reward_std)
@@ -210,6 +211,7 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
                            magnitude_grid=tuple(magnitude_grid), master_seed=seed,
                            replications=replications)
     cells = len(harness.sweep_cells(cfg))
+    mle_copies = [i for i, (_, s) in enumerate(harness.sweep_cells(cfg)) if s == 0.0][1:]
     cell = mdp.transition.nbytes  # as large as an MLE model's matrices
     # (cells per wave of a block of the cap's size, replications per block at
     # most, workers), and the blocks a serial run plans under each cap
@@ -230,7 +232,6 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
     results, metrics, texts = {}, {}, {}
     with tempfile.TemporaryDirectory() as tmp, \
             mock.patch.object(harness, "resolve_mdp", lambda cfg: mdp), \
-            mock.patch.object(harness, "_TASKS_PER_WORKER", 1), \
             mock.patch.object(harness.os, "cpu_count", lambda: 2):
         for run in runs:
             width, cap, workers = run
@@ -245,9 +246,13 @@ def test_outputs_do_not_depend_on_the_wave_width(seed, n, n_actions, copies, rew
                         results[run] = run_experiment(cfg)
                     sizes = [m.shape[1] for m in blocks]
                     assert sizes == serial_blocks[cap]
-                    # one stacked call per wave of a block, and one for the true MDP
-                    assert len(plans) == 1 + sum(-(-cells // min(cells, width * cap // size))
-                                                 for size in sizes)
+                    # one stacked call per wave of a block that plans a cell, and
+                    # one for the true MDP
+                    assert len(plans) == 1 + sum(
+                        any(i not in mle_copies for i in range(start, min(start + w, cells)))
+                        for size in sizes
+                        for w in [min(cells, width * cap // size)]
+                        for start in range(0, cells, w))
                     metrics[run] = np.concatenate(blocks, axis=1)
             path = Path(tmp) / "rows.csv"
             emit_csv(results[run], path)

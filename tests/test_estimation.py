@@ -42,6 +42,20 @@ def test_out_of_range_step_is_named():
         count(dataset_of((0, 0, 0.0, 1), (1, 0, 0.0, 5)), 3, 2)
 
 
+@pytest.mark.parametrize("bad_step", [False, True])
+def test_a_stack_of_datasets_is_refused(bad_step):
+    # two datasets drawn in one pass would otherwise count as one pooled
+    # dataset, and a bad step in them could not be named
+    mdp = make_mdp()
+    stack = generate_dataset(mdp, greedy_zero(mdp), CollectionConfig(3, 4), [1, 2])
+    if bad_step:
+        next_states = stack.next_states.copy()
+        next_states[1, 0, 2] = mdp.n_states
+        stack = Dataset(stack.states, stack.actions, stack.rewards, next_states)
+    with pytest.raises(ValueError, match=r"one dataset, got arrays of shape \(2, 3, 4\)"):
+        count(stack, mdp.n_states, mdp.n_actions)
+
+
 def test_mle_rows_are_empirical_frequencies():
     ds = dataset_of((0, 0, -1.0, 0), (0, 0, -1.0, 0), (0, 0, -1.0, 0), (0, 0, -1.0, 1))
     model = mle_model(count(ds, 2, 1))

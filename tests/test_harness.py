@@ -44,7 +44,7 @@ class InProcessPool:
     def __init__(self, max_workers):
         self.max_workers = max_workers
 
-    def map(self, fn, items, chunksize):
+    def map(self, fn, items):
         return map(fn, items)
 
     def shutdown(self, wait=True, cancel_futures=False):
@@ -199,44 +199,46 @@ class TestDeterminism:
         parallel = run_experiment(tiny_config(workers=2))
         assert serial == parallel
 
-    @pytest.mark.parametrize("workers, replications, cpus, pool, chunk", [
+    @pytest.mark.parametrize("workers, replications, cpus, pool, block", [
         (64, 3, 8, 3, 1),      # no more processes than replications
-        (64, 100, 4, 4, 25),   # nor than CPUs; a task is one block of a worker's share
+        (64, 100, 4, 4, 25),   # nor than CPUs; a block is a worker's share
         (2, 6, 1, None, None),  # one CPU runs serially: no pool at all
         (2, 6, None, None, None),  # an unknown CPU count counts as one
         (2, 32, 2, 2, 16),     # two workers on two CPUs keep their pool
     ])
     def test_pool_size_is_capped(self, monkeypatch, workers, replications, cpus, pool,
-                                 chunk):
-        # a pool that records its size and the replications per task (its
-        # items are blocks of replications)
+                                 block):
+        # a pool that records its size and its largest task: a task is one
+        # block of replications
         made = []
 
         class FakePool(InProcessPool):
             def __init__(self, max_workers):
                 made.append([max_workers])
 
-            def map(self, fn, items, chunksize):
-                made[-1].append(chunksize * len(items[0]))
-                return super().map(fn, items, chunksize)
+            def map(self, fn, items):
+                made[-1].append(len(items[0]))
+                return super().map(fn, items)
 
         cfg = tiny_config(workers=workers, replications=replications)
         serial = run_experiment(override(cfg, workers=1))
         monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert run_experiment(cfg) == serial
-        assert made == ([] if pool is None else [[pool, chunk]])
+        assert made == ([] if pool is None else [[pool, block]])
 
     # harness.policy_iteration calls of 20 replications at seed 1729: one for
-    # the true MDP, then one per wave of each block. Serially a block holds the
-    # whole run: cliff plans 53 waves of one cell, two goals 4 and grid 3. On 2
-    # workers a block is one worker's share, 10: cliff plans 53 waves per block,
+    # the true MDP, then one per wave of each block that plans a cell. Serially
+    # a block holds the whole run: cliff plans 51 waves of one cell (the waves
+    # of discount 0 and eps_greedy 0, copies of dirichlet 0, are skipped), two
+    # goals 4 and grid 3. On 2 workers a block is one worker's share, 10: cliff
+    # plans 51 waves per block,
     # two goals 2 and grid 2. Where the byte cap binds (7 replications here),
     # the serial run and the pool plan the same blocks, 7, 7 and 6: cliff in 27
     # waves of two cells each, two goals in 2 and grid in 1.
     @pytest.mark.parametrize("preset", ["cliff-random", "twogoals-random", "grid-random"])
     def test_pooled_runs_plan_in_the_serial_runs_blocks(self, monkeypatch, preset):
-        calls = {"cliff-random": (54, 107, 82), "twogoals-random": (5, 5, 7),
+        calls = {"cliff-random": (52, 103, 82), "twogoals-random": (5, 5, 7),
                  "grid-random": (4, 5, 4)}[preset]
         # in-process, so the wrapped policy_iteration counts the pool's calls too
         made = []
@@ -309,9 +311,8 @@ class TestFailureHandling:
     def test_pool_worker_death_names_the_first_missing_replication(self, monkeypatch):
         # replication 0's worker exits outright. 32 replications on 2 workers
         # run in blocks of one worker's share, 16 (the tiny config's block by
-        # bytes is larger), and a task of 32 // (2 * 8) = 2 replications would
-        # split a block, so a task is one whole block: nothing precedes
-        # replication 0 and its chunk is 0-15
+        # bytes is larger), one block per task: nothing precedes replication 0
+        # and its block is 0-15
         real = harness.generate_dataset
         seed = child_seed(777, 0)
 
@@ -323,7 +324,7 @@ class TestFailureHandling:
         monkeypatch.setattr(harness, "generate_dataset", dying)
         # two processes even on one CPU: serially, the exit would end this process
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
-        with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, chunk of"
+        with pytest.raises(RuntimeError, match=rf"replication 0 \(child seed {seed}, block of"
                                                rf" replications 0-15\) was not received"):
             run_experiment(tiny_config(workers=2, replications=32))
 
@@ -332,13 +333,11 @@ class TestFailureHandling:
     def test_pool_worker_death_names_the_first_missing_block_of_uneven_blocks(self,
                                                                                monkeypatch):
         # 13 replications on 2 workers in blocks of at most 3: 3, 3, 3, 2, 2,
-        # two blocks per task (13 // 2 // 3), so the tasks are 0-5, 6-10 and
-        # 11-12. Replication 11's worker exits once the first four blocks have
-        # been received: the fifth block, 11-12, is the first missing one, and
-        # it is a task of its own
+        # one block per task. Replication 11's worker exits once the first four
+        # blocks have been received: the fifth block, 11-12, is the first
+        # missing one
         cfg = tiny_config(workers=2, replications=13)
         monkeypatch.setattr(harness, "_BLOCK_BYTES", 3 * resolve_mdp(cfg).transition.nbytes)
-        monkeypatch.setattr(harness, "_TASKS_PER_WORKER", 1)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         received = multiprocessing.Event()  # set in this process, seen by the forked workers
         real = harness.generate_dataset
@@ -351,9 +350,9 @@ class TestFailureHandling:
             return real(mdp, optimal, collection, master_seed)
 
         class SignallingPool(ProcessPoolExecutor):
-            def map(self, fn, items, chunksize):
-                assert [len(b) for b in items] == [3, 3, 3, 2, 2] and chunksize == 2
-                for i, result in enumerate(super().map(fn, items, chunksize=chunksize)):
+            def map(self, fn, items):
+                assert [len(b) for b in items] == [3, 3, 3, 2, 2]
+                for i, result in enumerate(super().map(fn, items)):
                     if i == 3:  # the run holds this result before it asks for the next
                         received.set()
                     yield result
@@ -362,21 +361,22 @@ class TestFailureHandling:
         monkeypatch.setattr(harness, "generate_dataset", dying)
         monkeypatch.setattr(harness, "ProcessPoolExecutor", SignallingPool)
         with pytest.raises(harness.ReplicationError,
-                           match=rf"^replication 11 \(child seed {seed}, chunk of"
+                           match=rf"^replication 11 \(child seed {seed}, block of"
                                  rf" replications 11-12\) was not received"):
             run_experiment(cfg)
         assert harness._pool is None
 
     def test_non_convergence_names_the_cell(self, monkeypatch):
         # one block of all six replications plans grid's seven cells in one
-        # wave; flat problem i of it is replication i // 7, cell i % 7
+        # wave, but for the copies of dirichlet 0 (cells 2, 4 and 6): flat
+        # problem i of it is replication i // 4, planned cell i % 4
         cfg = tiny_config()
-        for problem, rep, cell in ((1, 0, 1),    # the first replication's second cell
-                                   (10, 1, 3)):  # the second replication's fourth cell
+        for problem, rep, cell in ((1, 0, 1),   # the first replication's second cell
+                                   (7, 1, 5)):  # the second's fourth planned cell
             def stuck(stack, initial_policy=None):
                 if stack.t.ndim == 5:  # a block's wave; the true-MDP solve is unstacked
-                    assert stack.t.shape[:2] == (6, 7)  # (replications, cells)
-                    raise PolicyIterationError([problem, 2 * 7 + 5])  # and replication 2's
+                    assert stack.t.shape[:2] == (6, 4)  # (replications, planned cells)
+                    raise PolicyIterationError([problem, 2 * 4 + 3])  # and replication 2's
                 return policy_iteration(stack)
 
             monkeypatch.setattr(harness, "policy_iteration", stuck)
@@ -564,7 +564,9 @@ class TestWaves:
         # a serial run of 20 replications plans them as one block; its waves
         # stack at most _WAVE_BYTES: one cliff cell (20 x 74 KB), 15 two-goals
         # cells (20 x 3.5 KB) or 21 grid cells (20 x 2.4 KB). A cliff block of 4
-        # (big-batch's) plans three cells per wave
+        # (big-batch's) plans three cells per wave. Discount 0 and eps_greedy 0
+        # (cells 11 and 32) are copies of dirichlet 0: no wave plans them, and
+        # a wave of one cell that is a copy is skipped
         cfg = builtin_presets()[preset]
         ctx = harness._replication_context(cfg, resolve_mdp(cfg))
         cell = ctx.mdp.transition.nbytes
@@ -579,29 +581,35 @@ class TestWaves:
             blends.clear(), plans.clear()
             harness._block_task(ctx, range(reps))
             assert width * reps * cell <= max(reps * cell, harness._WAVE_BYTES)
-            assert len(blends) == len(plans) == -(-len(ctx.cells) // width)
-            # wave j is cells jw .. jw + w - 1 of the sweep, across method boundaries
-            assert [list(zip(*args[2:4])) for args in blends] == [
-                list(ctx.cells[i:i + width]) for i in range(0, len(ctx.cells), width)]
+            # wave j is cells jw .. jw + w - 1 of the sweep, across method
+            # boundaries, but for the copies
+            waves = [[c for i, c in enumerate(ctx.cells[start:start + width], start)
+                      if i not in (11, 32)] for start in range(0, len(ctx.cells), width)]
+            waves = [wave for wave in waves if wave]
+            # after wave 0, which plans dirichlet 0, discount 0 is blended on its
+            # own, without counts, for the exit column of its absorbing MSE
+            assert blends.pop(1)[1:4] == (None, "discount", 0.0)
+            assert len(blends) == len(plans) == len(waves)
+            assert [list(zip(*args[2:4])) for args in blends] == waves
             assert {args[0].t_hat.shape[0] for args in blends} == {reps}
         assert len(ctx.cells) == 53
 
     # (calls, LU matrices) of the stacked solves inside policy iteration, then
     # of the true-MDP evaluations, over the blocks a serial run of 20
     # replications at seed 1729 plans: one block of 20, each cliff cell planned
-    # in the wave after the one it starts from. The comments give the counts
-    # of the earlier layout, blocks of 4, 5 or 8 replications (cliff, two
-    # goals, grid) with three cliff cells per wave: cliff now plans fewer LU
-    # matrices on every preset, grid-optimal 42 more
+    # in the wave after the one it starts from. The comments give the planning
+    # counts when the copies of dirichlet 0, discount 0 and eps_greedy 0, were
+    # still planned, each in one sweep: 2 LU matrices per replication each,
+    # and on cliff one call each; the true-MDP counts are unchanged
     @pytest.mark.parametrize("preset, planning_work, true_work", [
-        ("cliff-random", (122, 1663), (9, 481)),      # (223, 1914), (11, 481)
-        ("grid-random", (8, 1605), (1, 76)),          # (9, 1645), (3, 77)
-        ("twogoals-mixed", (19, 2276), (1, 268)),     # (22, 2293), (4, 268)
-        ("grid-optimal", (7, 1237), (1, 9)),          # (6, 1195), (3, 15)
-        ("twogoals-optimal", (5, 1183), (1, 3)),      # (8, 1337), (4, 9)
-        ("cliff-mixed", (109, 1516), (7, 350)),       # (203, 1744), (9, 350)
-        ("cliff-start-s", (109, 1444), (6, 296)),     # (192, 1625), (9, 297)
-        ("cliff-optimal", (55, 1100), (1, 1)),        # (100, 1180), (5, 5)
+        ("cliff-random", (120, 1623), (9, 481)),      # (122, 1663)
+        ("grid-random", (8, 1539), (1, 76)),          # (8, 1605)
+        ("twogoals-mixed", (19, 2177), (1, 268)),     # (19, 2276)
+        ("grid-optimal", (7, 1192), (1, 9)),          # (7, 1237)
+        ("twogoals-optimal", (5, 1124), (1, 3)),      # (5, 1183)
+        ("cliff-mixed", (107, 1476), (7, 350)),       # (109, 1516)
+        ("cliff-start-s", (107, 1404), (6, 296)),     # (109, 1444)
+        ("cliff-optimal", (53, 1060), (1, 1)),        # (55, 1100)
     ])
     def test_counted_solves_do_not_grow(self, preset, planning_work, true_work, monkeypatch):
         # exact counts: a change that adds solve calls or LU matrices fails here,
@@ -687,29 +695,30 @@ class TestWaves:
 
     def test_every_problem_starts_from_the_nearest_solved_one(self, monkeypatch):
         # dirichlet 0-1000 are cells 0-10, discount 0-1 cells 11-31 and
-        # eps_greedy 0-1 cells 32-52. A cliff block of 20 plans one cell per
-        # wave, a block of 4 three
+        # eps_greedy 0-1 cells 32-52; discount 0 and eps_greedy 0 are copies
+        # of dirichlet 0, planned in no wave. A cliff block of 20 plans one
+        # cell per wave, a block of 4 three
         cfg = replace(builtin_presets()["cliff-random"], master_seed=1729)
         mdp = resolve_mdp(cfg)
         ctx = harness._replication_context(cfg, mdp)
         assert ctx.cells[11] == ("discount", 0.0) and ctx.cells[32] == ("eps_greedy", 0.0)
-        waves, sweeps = [], []  # (initial policy, policy, each sweep's problems) per wave
-        plan, evaluate = harness.policy_iteration, planning.policy_evaluation
+        waves = []  # (initial policy, policy) per wave
+        plan = harness.policy_iteration
 
         def planning_wave(problem, initial_policy):
-            sweeps.clear()
             policy = plan(problem, initial_policy)[0]
-            waves.append((initial_policy.copy(), policy, list(sweeps)))
+            waves.append((initial_policy.copy(), policy))
             return policy, None
 
         monkeypatch.setattr(harness, "policy_iteration", planning_wave)
-        monkeypatch.setattr(planning, "policy_evaluation",
-                            lambda problem, policy, problems=None: sweeps.append(problems)
-                            or evaluate(problem, policy, problems))
         for reps, width in ((range(20), 1), (range(4), 3)):
             waves.clear()
             harness._block_task(ctx, reps)
-            assert len(waves) == -(-53 // width)
+            # the cells each wave plans; a wave of one copy is skipped
+            planned = [[i for i in range(start, min(start + width, 53)) if i not in (11, 32)]
+                       for start in range(0, 53, width)]
+            planned = [cells for cells in planned if cells]
+            assert [policy.shape[1] for _, policy in waves] == [len(c) for c in planned]
             # each problem of wave 0 starts from its own greedy policy under the true values
             for rep, initial in zip(reps, waves[0][0]):
                 data = generate_dataset(mdp, ctx.pi_opt, cfg.collection,
@@ -721,18 +730,65 @@ class TestWaves:
                     q = q_from_values(PlanningProblem(reg.t_reg, reg.r_hat, reg.gamma),
                                       ctx.v_opt)
                     np.testing.assert_array_equal(initial[cell], q.argmax(axis=-1), (rep, cell))
-            dirichlet_0 = waves[0][1][:, 0]
-            for j, (initial, _, solved) in enumerate(waves[1:], start=1):
-                # the previous wave's last policy starts each cell of a later wave
-                mle = {11 // width: 11 % width, 32 // width: 32 % width}.get(j)  # dis0 or eps0
-                others = [c for c in range(initial.shape[1]) if c != mle]
+            # each replication's policy of each cell; a copy's is dirichlet 0's
+            policy_of = {cell: policy[:, k]
+                         for (_, policy), cells in zip(waves, planned)
+                         for k, cell in enumerate(cells)}
+            policy_of[11] = policy_of[32] = policy_of[0]
+            for (initial, policy), cells in zip(waves[1:], planned[1:]):
+                # every cell of a later wave starts from its replication's
+                # policy of the cell just before the wave, a copy's included
+                before = cells[0] // width * width - 1
                 np.testing.assert_array_equal(
-                    initial[:, others], np.repeat(waves[j - 1][1][:, -1:], len(others), 1))
-                if mle is not None:
-                    # the MLE problem again: it starts from dirichlet 0 and takes one sweep
-                    np.testing.assert_array_equal(initial[:, mle], dirichlet_0)
-                    flat = [width * r + mle for r in range(len(reps))]
-                    assert [sum(i in active for active in solved) for i in flat] == [1] * len(reps)
+                    np.broadcast_to(initial, policy.shape),
+                    np.repeat(policy_of[before][:, None], len(cells), 1), (len(reps), before))
+
+    @pytest.mark.parametrize("methods, eps_grid, magnitude_grid, copies", [
+        (("dirichlet", "discount", "eps_greedy", "none"), (0.0, 0.5), (0.0, 10.0), [2, 4, 6]),
+        (("discount", "none", "eps_greedy", "dirichlet"), (0.0, 0.5), (0.0, 10.0), [2, 3, 5]),
+        (("dirichlet", "discount", "eps_greedy"), (0.5, 1.0), (10.0,), []),
+        (("dirichlet", "discount"), (0.5,), (0.0, 10.0), []),
+    ], ids=["default-order", "discount-first", "no-strength-0", "one-strength-0"])
+    def test_copies_of_the_first_strength_0_cell_are_never_planned(
+            self, monkeypatch, methods, eps_grid, magnitude_grid, copies):
+        # every strength-0 cell is the MLE problem; those after the first are
+        # its copies. Waves of one cell (a copy's is skipped), of two and of
+        # the whole sweep give the same bits
+        cfg = tiny_config(methods=methods, eps_grid=eps_grid, magnitude_grid=magnitude_grid)
+        ctx = harness._replication_context(cfg, resolve_mdp(cfg))
+        cells = ctx.cells
+        zero = [i for i, (_, strength) in enumerate(cells) if strength == 0.0]
+        assert zero[1:] == copies
+        blends, plans = [], []
+        blend, plan = harness.regularize, harness.policy_iteration
+        monkeypatch.setattr(harness, "regularize", lambda *a: blends.append(a) or blend(*a))
+        monkeypatch.setattr(harness, "policy_iteration",
+                            lambda *a, **k: plans.append(a[0]) or plan(*a, **k))
+        cell = ctx.mdp.transition.nbytes
+        block = None
+        for width in (1, 2, len(cells)):
+            blends.clear(), plans.clear()
+            monkeypatch.setattr(harness, "_WAVE_BYTES", width * 3 * cell)
+            got = harness._block_task(ctx, range(3))
+            if block is not None:
+                np.testing.assert_array_equal(got, block, width)
+            block = got
+            # the waves' blends and solves hold every cell that is no copy, once;
+            # the one other blend is discount 0's own, without counts, for its
+            # absorbing MSE
+            waves = [args for args in blends if args[1] is not None]
+            own = [args[2:4] for args in blends if args[1] is None]
+            assert own == [cells[i] for i in copies if cells[i] == ("discount", 0.0)]
+            assert [c for args in waves for c in zip(*args[2:4])] == [
+                c for i, c in enumerate(cells) if i not in copies]
+            assert [p.t.shape[:2] for p in plans] == [(3, len(args[2])) for args in waves]
+        loss, mse_plain, mse_abs = block
+        for i in copies:  # a copy's loss and plain MSE are the first cell's, bit for bit
+            assert loss[:, i].tobytes() == loss[:, zero[0]].tobytes()
+            assert mse_plain[:, i].tobytes() == mse_plain[:, zero[0]].tobytes()
+        for i, (method, _) in enumerate(cells):  # only discount has an exit column
+            if method != "discount":
+                assert mse_abs[:, i].tobytes() == mse_plain[:, i].tobytes(), cells[i]
 
     def test_waves_match_cell_by_cell_replication(self):
         # per-cell reference: regularize, plan warm-started from the method's
