@@ -31,10 +31,6 @@ class CountsTensor:
     def n_states(self) -> int:
         return self.c.shape[-1]
 
-    @property
-    def n_actions(self) -> int:
-        return self.c.shape[-2]
-
 
 @dataclass(frozen=True)
 class EstimatedModel:

@@ -9,11 +9,11 @@ equivalence properties can be tested at solver precision.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
+from math import prod
 
 import numpy as np
 
-from .mdp import TIE_TOL, TabularMdp, check_policy
+from .mdp import PROB_TOL, TIE_TOL, TabularMdp, check_policy
 
 _MAX_SWEEPS = 10_000
 # an action must beat the incumbent by more than this times the problem's
@@ -42,7 +42,8 @@ class PlanningProblem:
     gamma: float
 
     def __post_init__(self):
-        t, r = np.asarray(self.t, dtype=float), np.asarray(self.r, dtype=float)
+        # contiguous, so that policy_evaluation's flat view of the stack is a view
+        t, r = np.ascontiguousarray(self.t, dtype=float), np.asarray(self.r, dtype=float)
         object.__setattr__(self, "t", t)
         if t.ndim < 3 or t.shape[-1] != t.shape[-2]:
             raise ValueError(f"transition matrices must be (..., A, N, N), got shape {t.shape}")
@@ -51,7 +52,7 @@ class PlanningProblem:
         # "not min ok" rather than "min bad": a NaN makes min NaN, failing every comparison
         if not t.min(initial=0.0) >= -1e-12:
             raise ValueError("transition matrices must be finite and nonnegative")
-        if not (t @ np.ones(self.n_states)).max(initial=0.0) <= 1.0 + 1e-9:  # row sums
+        if not (t @ np.ones(self.n_states)).max(initial=0.0) <= 1.0 + PROB_TOL:  # row sums
             raise ValueError("transition rows must sum to at most 1")
         if not np.isfinite(r).all():
             raise ValueError("rewards must be finite")
@@ -73,31 +74,25 @@ class PlanningProblem:
         return cls(mdp.transition, mdp.reward_mean, mdp.gamma)
 
 
-@cache
-def _cells(batch: tuple[int, ...]) -> tuple[np.ndarray, ...]:
-    """Index arrays, made once per batch shape, that pick each problem of a stack."""
-    return tuple(i[..., None] for i in np.indices(batch, sparse=True))
-
-
 def policy_evaluation(problem: PlanningProblem, policy: np.ndarray,
                       problems: np.ndarray | None = None) -> np.ndarray:
     """Solve V = R_pi + gamma * T_pi V directly, one LU per policy. Policies
     (..., n_states) broadcast against the problem's batch axes: one problem
     under many policies, or one per stacked problem. ``problems``, flat indices
     into the problem's stack, solves only those, one policy (k', n_states) each,
-    gathers no row of the others and leaves the policies unchecked."""
-    t, r, n = problem.t, problem.r, problem.n_states
+    gathers no row of the others and leaves the policies unchecked; a broadcast
+    call solves the flat indices ``np.arange(k).reshape(batch)``."""
+    batch, n, n_actions = problem.t.shape[:-3], problem.n_states, problem.n_actions
+    k = prod(batch)  # the stack as a view of (k,) problems
+    t, r = problem.t.reshape(k, n_actions, n, n), problem.r.reshape(k, n, n_actions)
     if problems is None:
-        policy = check_policy(policy, problem.n_actions)
+        policy = check_policy(policy, n_actions)
         if policy.shape[-1:] != (n,):
             raise ValueError(f"policy must be (..., {n}) for {n} states, got shape {policy.shape}")
-        cells = _cells(t.shape[:-3])
-    else:  # the stack as a view of (k,) problems
-        t, r = t.reshape((-1,) + t.shape[-3:]), r.reshape((-1,) + r.shape[-2:])
-        cells = (problems[:, None],)
-    idx = np.arange(n)
-    t_pi = t[cells + (policy, idx)]
-    r_pi = r[cells + (idx, policy)]
+        problems = np.arange(k).reshape(batch)
+    idx, cells = np.arange(n), problems[..., None]
+    t_pi = t[cells, policy, idx]
+    r_pi = r[cells, idx, policy]
     # I - gamma * T_pi in the gathered copy; 1 + (-x) on the diagonal has 1 - x's bits
     system = np.multiply(-problem.gamma, t_pi, out=t_pi)
     system.reshape(system.shape[:-2] + (n * n,))[..., ::n + 1] += 1.0
@@ -161,7 +156,7 @@ def policy_iteration(problem: PlanningProblem, initial_policy: np.ndarray | None
         q = q_from_values(problem, v.reshape(batch + (n,))).swapaxes(-1, -2).reshape(
             -1, n_actions, n)[active]
         slack = _ROUNDOFF * np.abs(q).max(axis=(1, 2))[:, None]  # per problem
-        kept = q[_cells(active.shape) + (current, states)] >= q.max(axis=1) - slack
+        kept = q[np.arange(len(active))[:, None], current, states] >= q.max(axis=1) - slack
         policy[active] = np.where(kept, current, q.argmax(axis=1))
         stable = kept.all(axis=1)  # a state not kept moves to a better action
         if stable.any():

@@ -19,7 +19,8 @@ also pins that the wave layout does not move a byte; checked again at
 ``paper_sweep.sha256`` holds, in the same form, the digests of the paper sweep
 itself, ``mdpreg sweep --replications 5000 --workers 2``, as recorded in
 BENCH_22.json. Tier-1 does not run that sweep: ``scripts/check_paper_sweep.py``
-does, from a CI job run on demand or on a schedule.
+does, from a CI job run on demand, once a week and on each pull request that
+touches the engine, the script, the digests, ``pyproject.toml`` or the workflow.
 """
 
 import hashlib

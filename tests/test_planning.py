@@ -145,9 +145,16 @@ class TestBatchedEvaluation:
         mdps = [random_mdp(rng, 4, 2) for _ in range(3)]
         stack = PlanningProblem(np.stack([m.transition for m in mdps]),
                                 np.stack([m.reward_mean for m in mdps]), 0.9)
+        # the same matrices behind a reversed batch-axis view, which is not contiguous
+        reversed_t = np.stack([m.transition for m in reversed(mdps)])[::-1]
+        assert not reversed_t.flags.c_contiguous
+        strided = PlanningProblem(reversed_t, stack.r, 0.9)
+        assert strided.t.flags.c_contiguous  # so the flat view of the stack copies nothing
         own = rng.integers(0, 2, (3, 4))
-        for policy in (own, own[0]):
-            values = policy_evaluation(stack, policy)
+        calls = [(stack, own, None), (stack, own[0], None), (strided, own, None),
+                 (stack, own, np.arange(3))]  # the last by flat problem index
+        for problem, policy, problems in calls:
+            values = policy_evaluation(problem, policy, problems)
             for i, m in enumerate(mdps):
                 single = PlanningProblem(m.transition, m.reward_mean, 0.9)
                 np.testing.assert_array_equal(
