@@ -29,6 +29,8 @@ takes the sweeps it would take alone, and aggregation always sums in
 replication order, so results are bit-identical for any worker count and
 block size. Pooled runs in one process share one process pool, started by the
 first of them and kept while later runs ask for the same number of workers.
+A run that resolves to one process never imports the pool's modules
+(multiprocessing among them); the first pooled run imports them.
 """
 
 from __future__ import annotations
@@ -36,10 +38,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import MISSING, dataclass, fields, replace
 from functools import partial
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -55,6 +56,9 @@ from .planning import (PlanningProblem, PolicyIterationError, policy_evaluation,
                        policy_iteration, q_from_values)
 from .regularizers import METHODS, regularize
 from .seeding import child_seed
+
+if TYPE_CHECKING:  # the pooled path imports the pool's modules when it first runs
+    from concurrent.futures import ProcessPoolExecutor
 
 DEFAULT_SEED = 1729
 DEFAULT_REPLICATIONS = 5000
@@ -353,6 +357,9 @@ _pool: tuple[ProcessPoolExecutor, int, int] | None = None
 def _shared_pool(workers: int) -> ProcessPoolExecutor:
     """The shared pool of ``workers`` processes, made now unless this process
     already made one of that size."""
+    # imported here, so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     global _pool
     if _pool is None or _pool[1:] != (workers, os.getpid()):
         _drop_pool()  # joins the old pool's threads: none runs while the new one forks
@@ -385,6 +392,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[ResultRow]:
     if workers <= 1:
         results += map(task, blocks)
     else:
+        from concurrent.futures.process import BrokenProcessPool
+
         reused = _pool is not None and _pool[1:] == (workers, os.getpid())
         while True:
             try:

@@ -106,7 +106,9 @@ class TabularMdp:
         if t.ndim != 3 or t.shape[1] != t.shape[2]:
             return [f"transition must be (n_actions, N, N), got shape {t.shape}"]
         n_actions, n = t.shape[:2]
-        report = []
+        report = [] if n and n_actions else [
+            f"an MDP needs at least one state and one action, got {n} state(s)"
+            f" and {n_actions} action(s)"]
         if r_mean.shape != (n, n_actions):
             report.append(f"reward_mean must have shape ({n}, {n_actions}), got {r_mean.shape}")
         if r_std.shape != (n, n_actions):

@@ -47,6 +47,9 @@ class PlanningProblem:
         object.__setattr__(self, "t", t)
         if t.ndim < 3 or t.shape[-1] != t.shape[-2]:
             raise ValueError(f"transition matrices must be (..., A, N, N), got shape {t.shape}")
+        if not self.n_states or not self.n_actions:
+            raise ValueError("a problem needs at least one state and one action,"
+                             f" got {self.n_states} state(s) and {self.n_actions} action(s)")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
         # "not min ok" rather than "min bad": a NaN makes min NaN, failing every comparison

@@ -3,9 +3,12 @@ import math
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -222,7 +225,7 @@ class TestDeterminism:
 
         cfg = tiny_config(workers=workers, replications=replications)
         serial = run_experiment(override(cfg, workers=1))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", FakePool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", FakePool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
         assert run_experiment(cfg) == serial
         assert made == ([] if pool is None else [[pool, block]])
@@ -245,7 +248,7 @@ class TestDeterminism:
         real = harness.policy_iteration
         monkeypatch.setattr(harness, "policy_iteration",
                             lambda *a, **k: made.append(1) or real(*a, **k))
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 2)
         cfg = replace(builtin_presets()[preset], replications=20, master_seed=1729)
         serial = run_experiment(cfg)
@@ -359,7 +362,7 @@ class TestFailureHandling:
 
         harness._drop_pool()  # a reused pool would rerun the lost blocks once
         monkeypatch.setattr(harness, "generate_dataset", dying)
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", SignallingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SignallingPool)
         with pytest.raises(harness.ReplicationError,
                            match=rf"^replication 11 \(child seed {seed}, block of"
                                  rf" replications 11-12\) was not received"):
@@ -475,7 +478,7 @@ class TestSharedPool:
                 events.append(("shutdown", self.size, wait))
                 super().shutdown(wait=wait, cancel_futures=cancel_futures)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", RecordingPool)
         monkeypatch.setattr(harness.os, "cpu_count", lambda: 3)
         return events
 
@@ -539,6 +542,28 @@ class TestSharedPool:
                 run_experiment(tiny_config(workers=2))
         assert harness._pool is None
         assert run_experiment(tiny_config(workers=2)) == serial
+
+    def test_only_a_pooled_run_imports_the_pool(self):
+        # in a fresh interpreter: this module imports the pool itself
+        script = """if True:
+            import os, sys
+            from dataclasses import replace
+            from mdpreg import CollectionConfig, ExperimentConfig, run_experiment
+            pool_modules = ("concurrent.futures.process", "multiprocessing")
+            cfg = ExperimentConfig("grid", CollectionConfig(5, 8), eps_grid=(0.0, 0.5),
+                                   magnitude_grid=(0.0, 10.0), replications=6)
+            serial = run_experiment(cfg)
+            loaded = [m for m in pool_modules if m in sys.modules]
+            assert not loaded, f"a serial run imported {loaded}"
+            os.cpu_count = lambda: 2
+            assert run_experiment(replace(cfg, workers=2)) == serial
+            assert all(m in sys.modules for m in pool_modules)
+        """
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestWaves:

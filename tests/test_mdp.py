@@ -59,6 +59,15 @@ def test_one_error_lists_every_violation():
         "gamma out of range [0, 1): got 1"]
 
 
+@pytest.mark.parametrize("n, n_actions", [(0, 2), (3, 0)], ids=["no-states", "no-actions"])
+def test_an_mdp_needs_a_state_and_an_action(n, n_actions):
+    # either would build and then fail deep inside planning
+    report = problems_of(lambda: TabularMdp(np.zeros((n_actions, n, n)), np.zeros((n, n_actions)),
+                                            np.zeros((n, n_actions)), 0.9))
+    assert report == [f"an MDP needs at least one state and one action, got {n} state(s)"
+                      f" and {n_actions} action(s)"]
+
+
 def test_absorbing_violations_are_reported():
     mdp = make_two_state()
     msgs = problems_of(lambda: replace(mdp, absorbing={0}))

@@ -194,6 +194,15 @@ class TestPlanningProblemValidation:
         with pytest.raises(ValueError, match=re.escape(f"(..., A, N, N), got shape {t.shape}")):
             PlanningProblem(t, np.zeros((4, 2)), 0.9)
 
+    @pytest.mark.parametrize("n, n_actions", [(0, 2), (3, 0)], ids=["no-states", "no-actions"])
+    def test_a_problem_needs_a_state_and_an_action(self, n, n_actions):
+        # a stack of such problems too; an empty stack of real ones stays valid
+        for batch in ((), (2,)):
+            with pytest.raises(ValueError, match=re.escape(
+                    f"at least one state and one action, got {n} state(s) and"
+                    f" {n_actions} action(s)")):
+                PlanningProblem(np.zeros(batch + (n_actions, n, n)), np.zeros((n, n_actions)), 0.9)
+
     def test_evaluated_policy_must_have_one_action_per_state(self):
         problem = PlanningProblem.from_mdp(random_mdp(np.random.default_rng(8), 5, 3))
         for policy in (np.zeros(4, dtype=int), np.zeros((2, 6), dtype=int)):
